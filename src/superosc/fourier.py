@@ -135,7 +135,7 @@ def S_closed(k: int, l: int, p: float, j: int) -> float:
     return value
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _S_table(p: float, j: int) -> np.ndarray:
     pf = Fraction(p).limit_denominator(10**15)
     table = np.empty((j + 1, j + 1))

@@ -12,11 +12,11 @@ and (p, j-1) on odd rows.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import representation
 from .specfun import krawtchouk_table
 
 __all__ = [
@@ -43,9 +43,11 @@ class ModelParams:
     p: float
 
     def __post_init__(self) -> None:
-        if self.j < 0 or self.j != int(self.j):
+        # bool and integral floats such as 2.0 would fail later, inside the
+        # table assembly.
+        if isinstance(self.j, bool) or not isinstance(self.j, numbers.Integral) or self.j < 0:
             raise ValueError(f"need integer j >= 0, got j={self.j!r}")
-        if not 0.0 < self.p < 1.0:
+        if isinstance(self.p, bool) or not 0.0 < self.p < 1.0:
             raise ValueError(f"need 0 < p < 1, got p={self.p!r}")
 
     @property
@@ -91,20 +93,19 @@ def position_matrix(params: ModelParams) -> SymTridiagonal:
 
 
 def momentum_matrix(params: ModelParams) -> np.ndarray:
-    """Momentum operator, assembled from the odd generator matrices.
+    """Momentum operator: Hermitian tridiagonal with +-i times the position band.
 
-    Returns the dense Hermitian matrix
-    i (sqrt(p) F+ + sqrt(1-p) G+ + sqrt(1-p) F- + sqrt(p) G-); structurally
-    its superdiagonal is +i t and subdiagonal -i t with t the position
-    off-diagonals, which the tests check as a postcondition.
+    Returns the dense matrix with superdiagonal +i t and subdiagonal -i t, t
+    the position off-diagonals. It equals the combination
+    i (sqrt(p) F+ + sqrt(1-p) G+ + sqrt(1-p) F- + sqrt(p) G-) of generator
+    matrices; the test suite checks that identity exactly.
     """
-    j, p = params.j, params.p
-    sp, s1p = math.sqrt(p), math.sqrt(1.0 - p)
-    combo = (sp * representation.generator_matrix("F+", j)
-             + s1p * representation.generator_matrix("G+", j)
-             + s1p * representation.generator_matrix("F-", j)
-             + sp * representation.generator_matrix("G-", j))
-    return 1j * combo
+    off = _position_offdiag(params.j, params.p)
+    band = np.zeros((params.dim, params.dim))
+    idx = np.arange(len(off))
+    band[idx, idx + 1] = off
+    band[idx + 1, idx] = -off
+    return 1j * band
 
 
 def hamiltonian_matrix(j: int) -> np.ndarray:
@@ -135,22 +136,22 @@ def analytic_U(params: ModelParams) -> np.ndarray:
     column unhalved, and odd rows are antisymmetric with zero center.
     """
     j, p = params.j, params.p
-    dim = params.dim
+    mat = np.zeros((params.dim, params.dim))
+    # Row 2n at column j+k is (-1)^n K~_k(n)/sqrt(2), the transposed table;
+    # column j-k mirrors column j+k.
+    even = mat[0::2]
     table_j = krawtchouk_table(p, j)
-    mat = np.zeros((dim, dim))
-    even = np.arange(j + 1)
-    sign_even = np.where(even % 2 == 0, 1.0, -1.0)
-    mat[2 * even, j] = sign_even * table_j[0, even]
-    for k in range(1, j + 1):
-        mat[2 * even, j - k] = mat[2 * even, j + k] = sign_even * _INV_SQRT2 * table_j[k, even]
+    even[:, j] = table_j[0]
+    np.multiply(table_j[1:].T, _INV_SQRT2, out=even[:, j + 1:])
+    even[1::2, j:] *= -1.0
+    even[:, :j] = even[:, :j:-1]
     if j >= 1:
-        table_j1 = krawtchouk_table(p, j - 1)
-        odd = np.arange(j)
-        sign_odd = np.where(odd % 2 == 0, 1.0, -1.0)
-        for k in range(1, j + 1):
-            col = sign_odd * _INV_SQRT2 * table_j1[k - 1, odd]
-            mat[2 * odd + 1, j - k] = -col
-            mat[2 * odd + 1, j + k] = col
+        # Row 2n+1 at column j+k is (-1)^n K~_{k-1}(n; p, j-1)/sqrt(2); column
+        # j-k holds its negative and the center column stays zero.
+        odd = mat[1::2]
+        np.multiply(krawtchouk_table(p, j - 1).T, _INV_SQRT2, out=odd[:, j + 1:])
+        odd[1::2, j + 1:] *= -1.0
+        np.negative(odd[:, :j:-1], out=odd[:, :j])
     return mat
 
 

@@ -5,16 +5,18 @@ even paraboson wave function. Weights and norms are evaluated in log-space
 (via the log-gamma function) so that grids of a few hundred points stay
 inside double range. Orthonormal tables are produced from the symmetric
 Jacobi (three-term recurrence) matrix of each family, whose eigenvectors
-are the normalized polynomial values on the grid; column signs are fixed
-by anchor rows, falling back to exact rational sign evaluation when the
-anchor entries are too small to trust.
+are the normalized polynomial values on the grid. Column signs are fixed
+by anchor rows; where both anchors are too small to trust, the sign of the
+column's largest entry follows from a Sturm count (the number of negative
+LDL^T pivots of the shifted leading Jacobi block), evaluated in floats for
+all such columns at once.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb
 
 import numpy as np
@@ -38,6 +40,8 @@ __all__ = [
 # Anchor entries below this are considered sign-unreliable (solver noise
 # is ~1e-14, genuine entries we accept are >= 1e-8).
 _ANCHOR_FLOOR = 1e-8
+# Tables kept per family; a model reads two Krawtchouk tables.
+_CACHE_SIZE = 64
 
 
 def hyp2f1_terminating(n: int, b: float, c: float, z: float) -> float:
@@ -112,49 +116,68 @@ def krawtchouk_norm(n: int, p: float, N: int) -> float:
     return math.exp(lg + n * (math.log1p(-p) - math.log(p)))
 
 
-def _krawtchouk_sign(n: int, x: int, pf: Fraction, N: int) -> int:
-    # Exact sign of K_n(x; pf, N) from the integer-coefficient form of the
-    # three-term recurrence: A_n = (pq)^n n! K_n with p = P/Q.
-    P, Q = pf.numerator, pf.denominator
-    if n == 0:
-        return 1
-    a_prev, a = 1, P * N - x * Q
-    for m in range(1, n):
-        a_prev, a = a, (P * (N - m) + m * (Q - P) - x * Q) * a \
-            - m * (Q - P) * P * (N - m + 1) * a_prev
-    return (a > 0) - (a < 0)
+def _sturm_sign(diag: np.ndarray, off: np.ndarray, lam: np.ndarray,
+                ns: np.ndarray) -> np.ndarray:
+    # Sign of entry ns[i] relative to row 0 of the eigenvector of the Jacobi
+    # matrix (diag, off < 0) at eigenvalue lam[i]: (-1) to the number of
+    # negative LDL^T pivots of the leading ns x ns block shifted by lam
+    # (a Sturm count, backward stable in floats). A pivot below pivmin is
+    # replaced by -pivmin, scaled as in LAPACK's dstebz so that the next
+    # quotient stays finite; either sign gives the same parity.
+    off2 = np.concatenate(([0.0], off * off))  # off2[0] / inf starts at d_0
+    pivmin = np.finfo(float).tiny * max(1.0, float(off2.max()))
+    neg = np.zeros(len(lam), dtype=int)
+    d = np.full(len(lam), np.inf)
+    for m in range(int(ns.max())):
+        d = (diag[m] - lam) - off2[m] / d
+        d[np.abs(d) < pivmin] = -pivmin
+        neg += (d < 0.0) & (m < ns)
+    return np.where(neg % 2 == 0, 1.0, -1.0)
 
 
-@lru_cache(maxsize=None)
-def _krawtchouk_table(p: float, N: int) -> np.ndarray:
+def _jacobi_table(diag: np.ndarray, off: np.ndarray, sign) -> np.ndarray:
+    # Orthonormal table of a family whose symmetric Jacobi matrix has
+    # diagonal diag and negative off-diagonal off: column x of the
+    # eigenvector matrix carries the normalized polynomials at the x-th
+    # lattice point, up to an overall sign. Two anchors have known true
+    # sign: row 0 is sqrt(w(x)) > 0 and row N has sign (-1)^x. Use whichever
+    # is larger; for columns where both are below the noise floor,
+    # sign(diag, off, x, ns) gives the true sign of each one's largest entry
+    # ns, relative to row 0.
+    N = len(diag) - 1
     if N == 0:
         table = np.array([[1.0]])
         table.flags.writeable = False
         return table
-    pf = Fraction(p).limit_denominator(10**15)
-    n = np.arange(N, dtype=float)
-    nn = np.arange(N + 1, dtype=float)
-    diag = p * (N - nn) + nn * (1.0 - p)
-    off = -np.sqrt(p * (1.0 - p) * (n + 1.0) * (N - n))
     _, vecs = eigh_tridiagonal(diag, off)
-    # Column x carries K~_n(x) up to an overall sign. Two anchors with known
-    # true sign: row 0 is sqrt(w(x)) > 0, row N is (-1)^x sqrt(w(x)h(N))|...|
-    # with sign (-1)^x. Use whichever is larger; if both are below the noise
-    # floor, resolve the sign of the largest-magnitude row exactly.
     sx = np.where(np.arange(N + 1) % 2 == 0, 1.0, -1.0)
     a0 = vecs[0, :]
     aN = vecs[N, :] * sx
     anchor = np.where(np.abs(a0) >= np.abs(aN), a0, aN)
     flip = np.where(anchor < 0, -1.0, 1.0)
-    weak = np.abs(anchor) < _ANCHOR_FLOOR
-    if np.any(weak):
-        for x in np.nonzero(weak)[0]:
-            ns = int(np.argmax(np.abs(vecs[:, x])))
-            true_sign = _krawtchouk_sign(ns, int(x), pf, N)
-            flip[x] = true_sign if vecs[ns, x] > 0 else -true_sign
+    weak = np.nonzero(np.abs(anchor) < _ANCHOR_FLOOR)[0]
+    if len(weak):
+        ns = np.argmax(np.abs(vecs[:, weak]), axis=0)
+        true_sign = sign(diag, off, weak, ns)
+        flip[weak] = np.where(vecs[ns, weak] > 0, true_sign, -true_sign)
     table = vecs * flip[None, :]
     table.flags.writeable = False
     return table
+
+
+def _krawtchouk_sign(diag: np.ndarray, off: np.ndarray, x: np.ndarray,
+                     ns: np.ndarray) -> np.ndarray:
+    # True sign of K~_ns(x; p, N), on the lattice eigenvalue lambda(x) = x.
+    return _sturm_sign(diag, off, x.astype(float), ns)
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _krawtchouk_table(p: float, N: int) -> np.ndarray:
+    n = np.arange(N, dtype=float)
+    nn = np.arange(N + 1, dtype=float)
+    diag = p * (N - nn) + nn * (1.0 - p)
+    off = -np.sqrt(p * (1.0 - p) * (n + 1.0) * (N - n))
+    return _jacobi_table(diag, off, _krawtchouk_sign)
 
 
 def krawtchouk_table(p: float, N: int) -> np.ndarray:
@@ -201,59 +224,20 @@ def dual_hahn(n: int, x: int, gamma: float, delta: float, N: int) -> float:
     return total
 
 
-def _dual_hahn_sign(n: int, x: int, gf: Fraction, df: Fraction, N: int) -> int:
-    # Exact rational sign of R_n(lambda(x); gf, df, N).
-    total = Fraction(1)
-    term = Fraction(1)
-    for s in range(min(n, x)):
-        term = term * Fraction(-n + s) * Fraction(-x + s) * (x + gf + df + 1 + s) \
-            / (Fraction(-N + s) * (gf + 1 + s) * Fraction(s + 1))
-        total += term
-    return (total > 0) - (total < 0)
+def _dual_hahn_sign(diag: np.ndarray, off: np.ndarray, x: np.ndarray,
+                    ns: np.ndarray, shift: float) -> np.ndarray:
+    # True sign of R~_ns(lambda(x)), on lambda(x) = x(x + shift) with
+    # shift = gamma + delta + 1.
+    return _sturm_sign(diag, off, x * (x + shift), ns)
 
 
-def _dual_hahn_log_weight(x: int, gamma: float, delta: float, N: int) -> float:
-    pre = 0.0 if x == 0 else math.log((2 * x + gamma + delta + 1) / (x + gamma + delta + 1))
-    return (pre + gammaln(gamma + 1 + x) - gammaln(gamma + 1) + 2 * gammaln(N + 1)
-            - (gammaln(x + gamma + delta + 2 + N) - gammaln(x + gamma + delta + 2))
-            - (gammaln(delta + 1 + x) - gammaln(delta + 1))
-            - gammaln(x + 1) - gammaln(N - x + 1))
-
-
-def _dual_hahn_log_norm(n: int, gamma: float, delta: float, N: int) -> float:
-    return (gammaln(n + 1) + gammaln(N - n + 1) + gammaln(gamma + 1) + gammaln(delta + 1)
-            - gammaln(gamma + n + 1) - gammaln(delta + N - n + 1))
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _dual_hahn_table(gamma: float, delta: float, N: int) -> np.ndarray:
-    if N == 0:
-        table = np.array([[1.0]])
-        table.flags.writeable = False
-        return table
-    gf = Fraction(gamma).limit_denominator(10**12)
-    df = Fraction(delta).limit_denominator(10**12)
     n = np.arange(N, dtype=float)
     nn = np.arange(N + 1, dtype=float)
     diag = (nn + gamma + 1) * (N - nn) + nn * (delta + N - nn + 1)
     off = -np.sqrt((n + 1) * (n + gamma + 1) * (N - n) * (N - n + delta))
-    _, vecs = eigh_tridiagonal(diag, off)
-    # Same anchoring scheme as the Krawtchouk table: row 0 positive,
-    # row N carries sign (-1)^x, exact rational sign as the fallback.
-    sx = np.where(np.arange(N + 1) % 2 == 0, 1.0, -1.0)
-    a0 = vecs[0, :]
-    aN = vecs[N, :] * sx
-    anchor = np.where(np.abs(a0) >= np.abs(aN), a0, aN)
-    flip = np.where(anchor < 0, -1.0, 1.0)
-    weak = np.abs(anchor) < _ANCHOR_FLOOR
-    if np.any(weak):
-        for x in np.nonzero(weak)[0]:
-            ns = int(np.argmax(np.abs(vecs[:, x])))
-            true_sign = _dual_hahn_sign(ns, int(x), gf, df, N)
-            flip[x] = true_sign if vecs[ns, x] > 0 else -true_sign
-    table = vecs * flip[None, :]
-    table.flags.writeable = False
-    return table
+    return _jacobi_table(diag, off, partial(_dual_hahn_sign, shift=gamma + delta + 1.0))
 
 
 def dual_hahn_table(gamma: float, delta: float, N: int) -> np.ndarray:

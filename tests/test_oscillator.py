@@ -11,6 +11,7 @@ from superosc import (
     SymTridiagonal,
     analytic_U,
     analytic_V,
+    generator_matrix,
     hamiltonian_matrix,
     limit_U,
     momentum_matrix,
@@ -18,6 +19,7 @@ from superosc import (
     position_spectrum,
     sign_variant,
 )
+from superosc.specfun import krawtchouk_table
 
 
 def test_params_validation():
@@ -28,6 +30,17 @@ def test_params_validation():
     with pytest.raises(ValueError):
         ModelParams(j=2, p=1.0)
     assert ModelParams(j=4, p=0.2).dim == 9
+
+
+@pytest.mark.parametrize("j,p", [(2.0, 0.5), (2.5, 0.5), (True, 0.5), ("2", 0.5), (2, True)])
+def test_params_reject_non_integer_j_and_bool(j, p):
+    with pytest.raises(ValueError):
+        ModelParams(j=j, p=p)
+
+
+def test_params_accept_numpy_integer_j():
+    params = ModelParams(j=np.int64(3), p=0.5)
+    assert analytic_U(params).shape == (7, 7)
 
 
 def test_position_offdiagonals_j1():
@@ -71,6 +84,17 @@ def test_momentum_entry_j1():
     assert mp[1, 0] == pytest.approx(-1j * math.sqrt(p), rel=1e-15)
 
 
+def test_momentum_matrix_equals_generator_combination():
+    # M_p = i (sqrt(p) F+ + sqrt(1-p) G+ + sqrt(1-p) F- + sqrt(p) G-), bit for bit
+    for p in (0.1, 0.5, 0.9):
+        for j in range(13):
+            combo = (math.sqrt(p) * generator_matrix("F+", j)
+                     + math.sqrt(1.0 - p) * generator_matrix("G+", j)
+                     + math.sqrt(1.0 - p) * generator_matrix("F-", j)
+                     + math.sqrt(p) * generator_matrix("G-", j))
+            assert np.array_equal(momentum_matrix(ModelParams(j=j, p=p)), 1j * combo)
+
+
 def test_momentum_is_hermitian_exactly():
     for j in range(11):
         mp = momentum_matrix(ModelParams(j=j, p=0.3))
@@ -100,6 +124,37 @@ def test_position_spectrum_values():
     expected10 = sorted([-math.sqrt(k) for k in range(1, 11)] + [0.0]
                         + [math.sqrt(k) for k in range(1, 11)])
     assert s10 == pytest.approx(expected10, rel=1e-15)
+
+
+def _analytic_U_by_columns(j: int, p: float) -> np.ndarray:
+    # Column-by-column assembly from the Krawtchouk tables, the reference
+    # for the sliced assembly in analytic_U.
+    dim = 2 * j + 1
+    mat = np.zeros((dim, dim))
+    table_j = krawtchouk_table(p, j)
+    even = np.arange(j + 1)
+    sign_even = np.where(even % 2 == 0, 1.0, -1.0)
+    mat[2 * even, j] = sign_even * table_j[0, even]
+    for k in range(1, j + 1):
+        mat[2 * even, j - k] = mat[2 * even, j + k] = sign_even / math.sqrt(2.0) * table_j[k, even]
+    if j >= 1:
+        table_j1 = krawtchouk_table(p, j - 1)
+        odd = np.arange(j)
+        sign_odd = np.where(odd % 2 == 0, 1.0, -1.0)
+        for k in range(1, j + 1):
+            col = sign_odd / math.sqrt(2.0) * table_j1[k - 1, odd]
+            mat[2 * odd + 1, j - k] = -col
+            mat[2 * odd + 1, j + k] = col
+    return mat
+
+
+def test_analytic_U_matches_column_assembly():
+    for j in (0, 1, 2, 3, 10, 151):
+        for p in (0.1, 0.5, 0.83):
+            u = analytic_U(ModelParams(j=j, p=p))
+            expected = _analytic_U_by_columns(j, p)
+            assert np.array_equal(u, expected)
+            assert np.array_equal(np.signbit(u), np.signbit(expected))
 
 
 def test_eigenvector_matrix_j1_closed_form():

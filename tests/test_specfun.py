@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln
 
+from superosc import fourier, specfun
+from superosc.oracle import krawtchouk_exact
 from superosc.specfun import (
     dual_hahn,
     dual_hahn_normalized,
@@ -157,11 +160,22 @@ def test_dual_hahn_table_orthogonal():
         assert np.abs(table @ table.T - np.eye(26)).max() < 1e-10
 
 
+def _dual_hahn_log_weight(x: int, gamma: float, delta: float, N: int) -> float:
+    pre = 0.0 if x == 0 else math.log((2 * x + gamma + delta + 1) / (x + gamma + delta + 1))
+    return (pre + gammaln(gamma + 1 + x) - gammaln(gamma + 1) + 2 * gammaln(N + 1)
+            - (gammaln(x + gamma + delta + 2 + N) - gammaln(x + gamma + delta + 2))
+            - (gammaln(delta + 1 + x) - gammaln(delta + 1))
+            - gammaln(x + 1) - gammaln(N - x + 1))
+
+
+def _dual_hahn_log_norm(n: int, gamma: float, delta: float, N: int) -> float:
+    return (gammaln(n + 1) + gammaln(N - n + 1) + gammaln(gamma + 1) + gammaln(delta + 1)
+            - gammaln(gamma + n + 1) - gammaln(delta + N - n + 1))
+
+
 def test_dual_hahn_normalized_matches_series_at_small_degree():
     # pointwise float series is reliable at low degree; the table must agree
     gamma, delta, N = 2.0, 3.0, 10
-    from superosc.specfun import _dual_hahn_log_norm, _dual_hahn_log_weight
-
     for n in range(3):
         for x in range(N + 1):
             direct = dual_hahn(n, x, gamma, delta, N) * math.exp(
@@ -249,3 +263,75 @@ def test_paraboson_domain_checks():
         paraboson_even_wavefunction(-1, 1.0, 0.5)
     with pytest.raises(ValueError):
         paraboson_even_wavefunction(0, 0.0, 0.5)
+
+
+def _exact_sign(value) -> int:
+    return int(value > 0) - int(value < 0)
+
+
+def _krawtchouk_exact_sign(n: int, x: int, P: int, Q: int, N: int) -> int:
+    # Sign of K_n(x; P/Q, N) from the integer form of the three-term
+    # recurrence, A_n = (PQ)^n n! K_n: exact at any N, unlike the capped
+    # rational series of the oracle it is checked against below.
+    if n == 0:
+        return 1
+    a_prev, a = 1, P * N - x * Q
+    for m in range(1, n):
+        a_prev, a = a, (P * (N - m) + m * (Q - P) - x * Q) * a \
+            - m * (Q - P) * P * (N - m + 1) * a_prev
+    return _exact_sign(a)
+
+
+def _dual_hahn_exact_sign(n: int, x: int, gamma: Fraction, delta: Fraction, N: int) -> int:
+    # Sign of R_n(lambda(x); gamma, delta, N) from the 3F2 series in rationals.
+    total = term = Fraction(1)
+    for s in range(min(n, x)):
+        term = term * (-n + s) * (-x + s) * (x + gamma + delta + 1 + s) \
+            / ((-N + s) * (gamma + 1 + s) * (s + 1))
+        total += term
+    return _exact_sign(total)
+
+
+def _weak_columns(table: np.ndarray) -> int:
+    # Columns whose row-0 and row-N anchors are both below the floor, i.e.
+    # those whose sign comes from the Sturm count.
+    N = table.shape[0] - 1
+    floor = specfun._ANCHOR_FLOOR
+    return int(np.sum((np.abs(table[0]) < floor) & (np.abs(table[N]) < floor)))
+
+
+def test_integer_krawtchouk_sign_matches_oracle():
+    for N in (1, 5, 12):
+        for P, Q in ((1, 10), (1, 2), (7, 10)):
+            for n in range(N + 1):
+                for x in range(N + 1):
+                    assert _krawtchouk_exact_sign(n, x, P, Q, N) == \
+                        _exact_sign(krawtchouk_exact(n, x, P, Q, N))
+
+
+@pytest.mark.parametrize("N", [120, 200])
+@pytest.mark.parametrize("P,Q", [(1, 10), (1, 2)])
+def test_krawtchouk_table_signs_where_anchors_fail(N, P, Q):
+    table = krawtchouk_table(P / Q, N)
+    assert _weak_columns(table) > 0
+    ns = np.argmax(np.abs(table), axis=0)
+    for x in range(N + 1):
+        assert _exact_sign(table[ns[x], x]) == _krawtchouk_exact_sign(int(ns[x]), x, P, Q, N)
+
+
+def test_dual_hahn_table_signs_where_anchors_fail():
+    # (gamma, delta) = (2p alpha, 2(1-p) alpha) of paraboson_limit_table at
+    # alpha = 1000, p = 0.3
+    gamma, delta, N = 600.0, 1400.0, 200
+    table = dual_hahn_table(gamma, delta, N)
+    assert _weak_columns(table) > 0
+    ns = np.argmax(np.abs(table), axis=0)
+    for x in range(N + 1):
+        expected = _dual_hahn_exact_sign(int(ns[x]), x, Fraction(gamma), Fraction(delta), N)
+        assert _exact_sign(table[ns[x], x]) == expected
+
+
+def test_table_caches_are_bounded():
+    for cache in (specfun._krawtchouk_table, specfun._dual_hahn_table, fourier._S_table):
+        maxsize = cache.cache_info().maxsize
+        assert maxsize is not None and maxsize >= 6
