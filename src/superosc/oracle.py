@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import copysign, sqrt
+from math import copysign, frexp, ldexp, sqrt
 
 import numpy as np
 
@@ -23,8 +23,12 @@ __all__ = [
 ]
 
 # Deflation: an off-diagonal entry counts as zero once it is below unit
-# roundoff relative to its diagonal neighbours.
+# roundoff relative to its diagonal neighbours plus a floor, the square root of
+# the smallest normal float relative to the norm of the whole matrix (the
+# safmin term of LAPACK's dsteqr test). The floor matters where the neighbours
+# are zero: without it an entry that underflows towards zero never deflates.
 _MACHEP = 2.0**-52
+_UNDERFLOW = 2.0**-511
 _MAX_SWEEPS = 30
 
 
@@ -71,10 +75,11 @@ def tridiag_eigen(offdiag, diag, tol: float = 1e-9) -> EigenResult:
     """Diagonalize a symmetric tridiagonal matrix by implicit-shift QL.
 
     Plane rotations with Wilkinson shifts; each sweep's rotations are
-    multiplied into the eigenvector matrix as one block product.
-    Deterministic for fixed input. Eigenvalues are returned in
-    ascending order (stable sort) with eigenvector signs left as the
-    iteration produces them, for the caller to align.
+    multiplied into the eigenvector matrix as one block product. A sweep
+    whose rotation inputs both underflow to zero stops there, as the
+    matrix has split. Deterministic for fixed input. Eigenvalues are
+    returned in ascending order (stable sort) with eigenvector signs left
+    as the iteration produces them, for the caller to align.
 
     Parameters
     ----------
@@ -100,6 +105,17 @@ def tridiag_eigen(offdiag, diag, tol: float = 1e-9) -> EigenResult:
         raise ValueError(f"off-diagonal length must be {m - 1}, got {len(e) - 1}")
     if not all(np.isfinite(d)) or not all(np.isfinite(e)):
         raise ValueError("inputs must be finite")
+    norm = max(abs(dv) + abs(ev) for dv, ev in zip(d, e))
+    # Rotations lose precision near the underflow (or overflow) threshold, so
+    # a matrix of such a norm is first scaled exactly, by a power of two, to a
+    # norm in [1/2, 1). The eigenvectors do not change.
+    exponent = 0
+    if norm != 0.0 and not _UNDERFLOW <= norm <= 1.0 / _UNDERFLOW:
+        exponent = frexp(norm)[1]
+        d = [ldexp(v, -exponent) for v in d]
+        e = [ldexp(v, -exponent) for v in e]
+        norm = ldexp(norm, -exponent)
+    floor = _UNDERFLOW * norm
     z = np.eye(m)
     k = np.arange(m)
     alternating = np.tril((-1.0) ** np.subtract.outer(k, k))
@@ -110,7 +126,7 @@ def tridiag_eigen(offdiag, diag, tol: float = 1e-9) -> EigenResult:
             for split in range(low, m):
                 if split == m - 1:
                     break
-                if abs(e[split]) <= _MACHEP * (abs(d[split]) + abs(d[split + 1])):
+                if abs(e[split]) <= _MACHEP * (abs(d[split]) + abs(d[split + 1])) + floor:
                     break
             shift = d[low]
             if split == low:
@@ -126,9 +142,15 @@ def tridiag_eigen(offdiag, diag, tol: float = 1e-9) -> EigenResult:
             s = c = 1.0
             shift = 0.0
             rotations = []
+            first = low
             for i in range(split - 1, low - 1, -1):
                 f = s * e[i]
                 b = c * e[i]
+                if f == 0.0 and g == 0.0:
+                    # The bulge underflowed: the matrix splits at i + 1. Keep
+                    # the rotations made so far and look for a split again.
+                    first = i + 1
+                    break
                 if abs(f) >= abs(g):
                     c = g / f
                     r = sqrt(c * c + 1.0)
@@ -148,12 +170,17 @@ def tridiag_eigen(offdiag, diag, tol: float = 1e-9) -> EigenResult:
                 g = c * r - b
                 rotations.append(c)
                 rotations.append(s)
-            block = z[:, low:split + 1]
+            block = z[:, first:split + 1]
             block[...] = block @ _sweep_product(rotations, alternating)
+            if first > low:
+                d[first] -= shift
+                e[first] = 0.0
+                e[split] = 0.0
+                continue
             d[low] -= shift
             e[low] = g
             e[split] = 0.0
-    values = np.array(d)
+    values = np.ldexp(np.array(d), exponent)
     order = np.argsort(values, kind="stable")
     values = values[order]
     vectors = z[:, order]

@@ -89,6 +89,37 @@ def test_sweep_product_matches_rotations_one_at_a_time(n):
     assert np.abs(block.T @ block - np.eye(n + 1)).max() <= 4 * n * 2.0**-52
 
 
+@pytest.mark.parametrize(
+    "diag, off, expected",
+    [
+        # an underflowing entry between zero diagonals: a 0/0 rotation
+        ([0.0] * 4, [1.687525367726854e-222, 1.0, 1.0], [-2**0.5, 0.0, 0.0, 2**0.5]),
+        # two such entries: the lower block never deflated by the relative test
+        ([0.0] * 4, [1.0, 1.687525367726854e-222, 1.0271065105174491e-267],
+         [-1.0, 0.0, 0.0, 1.0]),
+        # the bulge of a sweep underflows to 0/0 before the entries deflate
+        ([0.0] * 4, [1.7e-222, 1.7e-222, 5.784962747638073e-97],
+         [-5.784962747638073e-97, -1.7e-222, 1.7e-222, 5.784962747638073e-97]),
+        # a matrix of subnormal norm: rotations in that range do not converge
+        ([0.0, 0.0, 0.0], [2.225073858507e-311, 2.225073858507e-311],
+         [-2**0.5 * 2.225073858507e-311, 0.0, 2**0.5 * 2.225073858507e-311]),
+    ],
+)
+def test_underflowing_entries_deflate(diag, off, expected):
+    res = tridiag_eigen(off, diag)
+    expected = np.array(expected)
+    assert np.abs(res.eigenvalues - expected).max() <= 1e-12 * np.abs(expected).max()
+    x = res.eigenvectors
+    assert np.abs(x.T @ x - np.eye(len(diag))).max() <= 1e-9
+
+
+def test_subnormal_matrix_scales_exactly():
+    # the power-of-two scaling leaves the relative spectrum intact
+    scale = 2.0**-1060
+    res = tridiag_eigen([scale, scale], [0.0, 0.0, 0.0])
+    assert np.abs(res.eigenvalues / scale - np.array([-2**0.5, 0.0, 2**0.5])).max() <= 1e-3
+
+
 def test_input_validation():
     with pytest.raises(ValueError):
         tridiag_eigen([1.0], [0.0, 0.0, 0.0])
