@@ -27,6 +27,16 @@ from .suite import DEFAULT_P_LIST, run_suite
 from .wavefunctions import momentum_wavefunction, paraboson_limit_table, position_wavefunction
 
 _DEFAULT_TOL = 1e-10
+# Largest dense (2j+1)x(2j+1) complex array a command may build (j <= 5792).
+_DENSE_BYTES_MAX = 2 * 2**30
+
+
+def _check_dense_size(j: int) -> None:
+    # Refuse a j whose dense matrices cannot fit, before any is allocated.
+    nbytes = 16 * (2 * j + 1) ** 2
+    if nbytes > _DENSE_BYTES_MAX:
+        raise ValueError(f"j={j} needs {nbytes} bytes per dense matrix, "
+                         f"over the {_DENSE_BYTES_MAX}-byte limit")
 
 
 def _fmt(value: float) -> str:
@@ -155,6 +165,7 @@ def _wave_json(table) -> dict:
 
 
 def cmd_wavefunction(args: argparse.Namespace) -> tuple[int, str]:
+    _check_dense_size(args.j)
     params = ModelParams(args.j, args.p)
     build = position_wavefunction if args.kind == "position" else momentum_wavefunction
     tables = [build(params, n) for n in args.n]
@@ -167,6 +178,7 @@ def cmd_wavefunction(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def cmd_fourier(args: argparse.Namespace) -> tuple[int, str]:
+    _check_dense_size(args.j)
     params = ModelParams(args.j, args.p)
     matrix = (fourier_analytic(params) if args.method == "analytic"
               else fourier_spectral(params)).data
@@ -185,6 +197,7 @@ def cmd_fourier(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
+    _check_dense_size(args.j_max)
     tol = args.tol
     if tol is None:
         tol = float(os.environ.get("SUPEROSC_TOL", _DEFAULT_TOL))

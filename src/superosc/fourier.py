@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
 from typing import NamedTuple
@@ -21,7 +20,7 @@ import numpy as np
 
 from .oscillator import ModelParams, analytic_U
 from .report import VerificationReport
-from .specfun import _hyp2f1_rational, krawtchouk_table
+from .specfun import _hyp2f1_rational, _ratio, krawtchouk_table
 
 __all__ = [
     "FourierMatrix",
@@ -98,58 +97,57 @@ def S_sum(k: int, l: int, p: float, j: int) -> float:
     return float(np.sum(signs * table[k, :] * table[l, :]))
 
 
-def _S_closed_fraction(k: int, l: int, j: int, pf: Fraction) -> float | None:
-    # S via its closed form evaluated in exact rational arithmetic on the
-    # square (|S| <= 1, so the final float conversion cannot overflow):
-    # S^2 = C(j,k) C(j,l) (4p(1-p))^(k+l) (1-2p)^(2(j-k-l)) 2F1(...)^2,
-    # with the sign read off the rational factors. Returns None at the
-    # removable singularity p = 1/2, k+l > j (negative power of zero).
-    w = 4 * pf * (1 - pf)
-    one_minus_2p = 1 - 2 * pf
-    if one_minus_2p == 0 and k + l > j:
-        return None
-    hyp = _hyp2f1_rational(k, l, j, 1 / w)
-    square = (Fraction(comb(j, k) * comb(j, l)) * w ** (k + l)
-              * one_minus_2p ** (2 * (j - k - l)) * hyp * hyp)
-    sign = 1 if hyp > 0 else (-1 if hyp < 0 else 0)
-    if (j - k - l) % 2 and one_minus_2p < 0:
-        sign = -sign
-    return sign * math.sqrt(float(square))
+def _S_column(a: int, b: int, j: int, l: int) -> list[float]:
+    # S(k, l; a/b, j) for k = l..j, from the closed form
+    # S^2 = C(j,k) C(j,l) w^(k+l) (1-2p)^(2(j-k-l)) 2F1(-k, -l; -j; 1/w)^2
+    # with w = 4p(1-p) = Q/b^2 and 1-2p = e/b, held as one exact integer
+    # ratio (|S| <= 1, so the division cannot overflow); the powers of b
+    # collect to b^(2j). The sign is that of the 2F1, flipped for odd j-k-l
+    # when 1-2p < 0. At p = 1/2 the column is that of the anti-identity.
+    if b == 2 * a:
+        return [float(k + l == j) for k in range(l, j + 1)]
+    Q, e = 4 * a * (b - a), b - 2 * a
+    A, D = _hyp2f1_rational(l, j, b * b, Q)
+    b2j = b ** (2 * j)
+    column = []
+    for k in range(l, j + 1):
+        m = j - k - l
+        num = comb(j, k) * comb(j, l) * Q ** (k + l) * A[k] ** 2
+        den = b2j * D[k] ** 2
+        if m >= 0:
+            num *= e ** (2 * m)
+        else:
+            den *= e ** (-2 * m)
+        sign = (A[k] > 0) - (A[k] < 0)
+        if m % 2 and e < 0:
+            sign = -sign
+        column.append(sign * math.sqrt(num / den))
+    return column
 
 
 def S_closed(k: int, l: int, p: float, j: int) -> float:
     """Overlap S(k, l; p, j) via the closed 2F1 form.
 
     Evaluates sqrt(C(j,k) C(j,l)) (4p(1-p))^((k+l)/2) (1-2p)^(j-k-l)
-    * 2F1(-k, -l; -j; 1/(4p(1-p))) in exact rational arithmetic before one
-    final square root. At p = 1/2 with k + l > j the closed form is a
-    removable singularity and the sum route is used instead.
+    * 2F1(-k, -l; -j; 1/(4p(1-p))) in exact integer arithmetic before one
+    final square root. At p = 1/2 the overlap is the anti-identity
+    S(k, l; 1/2, j) = delta(k+l, j) (Chu-Vandermonde on k + l = j, the
+    symmetry K~_{j-k}(n) = (-1)^n K~_k(n) and orthogonality elsewhere), which
+    also covers the removable singularity of the closed form at k + l > j.
     """
     if not (0 <= k <= j and 0 <= l <= j):
         raise ValueError(f"need 0 <= k, l <= j, got k={k}, l={l}, j={j}")
     if not 0.0 < p < 1.0:
         raise ValueError(f"need 0 < p < 1, got p={p}")
-    value = _S_closed_fraction(k, l, j, Fraction(p).limit_denominator(10**15))
-    if value is None:
-        return S_sum(k, l, p, j)
-    return value
+    return _S_column(*_ratio(p), j, min(k, l))[abs(k - l)]
 
 
 @lru_cache(maxsize=64)
 def _S_table(p: float, j: int) -> np.ndarray:
-    pf = Fraction(p).limit_denominator(10**15)
+    a, b = _ratio(p)
     table = np.empty((j + 1, j + 1))
-    fallback = None
-    for k in range(j + 1):
-        for l in range(k, j + 1):
-            value = _S_closed_fraction(k, l, j, pf)
-            if value is None:
-                if fallback is None:
-                    kt = krawtchouk_table(p, j)
-                    signs = np.where(np.arange(j + 1) % 2 == 0, 1.0, -1.0)
-                    fallback = (kt * signs[None, :]) @ kt.T
-                value = float(fallback[k, l])
-            table[k, l] = table[l, k] = value
+    for l in range(j + 1):
+        table[l:, l] = table[l, l:] = _S_column(a, b, j, l)
     table.flags.writeable = False
     return table
 
@@ -168,15 +166,15 @@ def fourier_analytic(params: ModelParams) -> FourierMatrix:
     mat = np.zeros((params.dim, params.dim), dtype=complex)
     mat[j, j] = -1j * s_j[0, 0]
     if j >= 1:
-        s_j1 = _S_table(float(p), j - 1)
-        for k in range(1, j + 1):
-            edge = -1j * _INV_SQRT2 * s_j[k, 0]
-            mat[j - k, j] = mat[j + k, j] = mat[j, j - k] = mat[j, j + k] = edge
-            for l in range(1, j + 1):
-                a = -0.5j * s_j[k, l]
-                b = 0.5 * s_j1[k - 1, l - 1]
-                mat[j - k, j - l] = mat[j + k, j + l] = a + b
-                mat[j - k, j + l] = mat[j + k, j - l] = a - b
+        # Row k-1 of each block is label k = 1..j; the slices j-1::-1 run
+        # over the mirrored labels j-k.
+        up, down = slice(j + 1, None), slice(j - 1, None, -1)
+        edge = -1j * _INV_SQRT2 * s_j[1:, 0]
+        mat[up, j] = mat[down, j] = mat[j, up] = mat[j, down] = edge
+        a = -0.5j * s_j[1:, 1:]
+        b = 0.5 * _S_table(float(p), j - 1)
+        mat[down, down] = mat[up, up] = a + b
+        mat[down, up] = mat[up, down] = a - b
     return FourierMatrix(mat, j)
 
 

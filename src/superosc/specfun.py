@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import comb
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -185,6 +184,11 @@ def krawtchouk_table(p: float, N: int) -> np.ndarray:
 
     The table is an orthogonal (N+1)x(N+1) matrix, symmetric in (n, x).
     Returned arrays are cached and marked read-only; copy before mutating.
+
+    Entries carry the eigensolver's absolute error of about 1e-16. Where the
+    true value is below that (row 0 is sqrt(w(x)), which reaches 1e-95 at
+    p = 1e-12, N = 150), neither its sign nor its magnitude is reliable: such
+    row-0 entries can come out negative, e.g. -3.8e-95 there.
     """
     if N < 0:
         raise ValueError(f"need N >= 0, got N={N}")
@@ -310,10 +314,26 @@ def paraboson_even_wavefunction(n: int, c: float, x: float) -> float:
     return sign * math.exp(log_mag)
 
 
-def _hyp2f1_rational(k: int, l: int, j: int, z: Fraction) -> Fraction:
-    # Exact value of 2F1(-k, -l; -j; z) for integers 0 <= k, l <= j.
-    total = Fraction(0)
-    for s in range(min(k, l) + 1):
-        t = Fraction(comb(k, s) * comb(l, s), comb(j, s)) * z**s
-        total += -t if s % 2 else t
-    return total
+def _ratio(p: float) -> tuple[int, int]:
+    # p as a/b in lowest terms: the closest fraction with b <= 10^15, which
+    # is the decimal a float like 0.37 was written as.
+    pf = Fraction(p).limit_denominator(10**15)
+    a, b = pf.numerator, pf.denominator
+    if not 0 < a < b:
+        raise ValueError(f"p={p!r} rounds to {pf} at denominators up to 10^15; "
+                         f"the closed routes need it inside (0, 1)")
+    return a, b
+
+
+def _hyp2f1_rational(x: int, N: int, P: int, Q: int) -> tuple[list[int], list[int]]:
+    # Exact 2F1(-k, -x; -N; P/Q) = A[k] / D[k] for k = 0..N, integers
+    # 0 <= x <= N and P, Q > 0. Over k the values form a Krawtchouk sequence,
+    # so they follow its three-term recurrence (Koekoek, Lesky & Swarttouw,
+    # section 9.11); scaled by D[k] = Q^k N!/(N-k)! > 0 it runs in integers.
+    A, D = [1, Q * N - x * P], [1]
+    for k in range(1, N):
+        A.append((Q * (N - k) + k * (P - Q) - x * P) * A[k]
+                 - k * (P - Q) * Q * (N - k + 1) * A[k - 1])
+    for k in range(N):
+        D.append(D[k] * Q * (N - k))
+    return A[:N + 1], D

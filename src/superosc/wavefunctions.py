@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 from scipy.special import gammaln
@@ -23,6 +22,7 @@ from .fourier import FourierMatrix
 from .oscillator import ModelParams, analytic_U, analytic_V, position_spectrum
 from .specfun import (
     _hyp2f1_rational,
+    _ratio,
     dual_hahn_normalized,
     krawtchouk_normalized,
     paraboson_even_wavefunction,
@@ -84,50 +84,36 @@ def momentum_wavefunction(params: ModelParams, n: int) -> WaveTable:
 
 def _closed_row(j: int, p: float, level: int) -> tuple[np.ndarray, list[int]]:
     # Row `level` from its closed 2F1 form, together with the exact sign of
-    # each entry (0 for exact zeros). Magnitudes combine a log-gamma
-    # prefactor with the absolute value of the exact rational 2F1; signs
-    # come from the rational value, immune to underflow.
+    # each entry (0 for exact zeros). Column j+k carries the 2F1 of degree
+    # m = k - odd over N = j - odd, as the ratio A[m]/D[m] of integers from
+    # one recurrence per row; magnitudes combine a log-gamma prefactor with
+    # its absolute value, and signs come from the integers, immune to
+    # underflow. Odd rows are antisymmetric with a zero center.
     dim = 2 * j + 1
     values = np.zeros(dim)
     signs = [0] * dim
-    pf = Fraction(p).limit_denominator(10**15)
-    z = 1 / pf
+    a, b = _ratio(p)
     log_p, log_1p = math.log(p), math.log1p(-p)
-    if level % 2 == 0:
-        n = level // 2
-        lead = gammaln(j + 1)
-        s0 = (-1) ** n
+    n, odd = level // 2, level % 2
+    N = j - odd
+    lead = gammaln(N + 1)
+    s0, mirror = (-1) ** n, (-1) ** odd
+    if not odd:
         values[j] = s0 * math.exp(0.5 * (lead - gammaln(n + 1) - gammaln(j - n + 1)
                                          + n * log_p + (j - n) * log_1p))
         signs[j] = s0
-        for k in range(1, j + 1):
-            hyp = _hyp2f1_rational(k, n, j, z)
-            if hyp == 0:
-                continue
-            log_mag = lead + 0.5 * ((n + k) * log_p + (j - n - k) * log_1p
-                                    - gammaln(n + 1) - gammaln(j - n + 1)
-                                    - gammaln(k + 1) - gammaln(j - k + 1))
-            sign = 1 if hyp > 0 else -1
-            value = s0 * sign * _INV_SQRT2 * math.exp(log_mag) * abs(float(hyp))
-            values[j - k] = values[j + k] = value
-            signs[j - k] = signs[j + k] = s0 * sign
-    else:
-        n = (level - 1) // 2
-        lead = gammaln(j)
-        s0 = (-1) ** n
-        for k in range(1, j + 1):
-            hyp = _hyp2f1_rational(k - 1, n, j - 1, z)
-            if hyp == 0:
-                continue
-            log_mag = lead + 0.5 * ((n + k - 1) * log_p + (j - n - k) * log_1p
-                                    - gammaln(n + 1) - gammaln(j - n)
-                                    - gammaln(k) - gammaln(j - k + 1))
-            sign = 1 if hyp > 0 else -1
-            value = s0 * sign * _INV_SQRT2 * math.exp(log_mag) * abs(float(hyp))
-            values[j + k] = value
-            values[j - k] = -value
-            signs[j + k] = s0 * sign
-            signs[j - k] = -s0 * sign
+    A, D = _hyp2f1_rational(n, N, b, a)
+    for k in range(1, j + 1):
+        m = k - odd
+        if A[m] == 0:
+            continue
+        log_mag = lead + 0.5 * ((n + m) * log_p + (N - n - m) * log_1p
+                                - gammaln(n + 1) - gammaln(N - n + 1)
+                                - gammaln(m + 1) - gammaln(N - m + 1))
+        sign = 1 if A[m] > 0 else -1
+        value = s0 * sign * _INV_SQRT2 * math.exp(log_mag) * abs(A[m] / D[m])
+        values[j + k], values[j - k] = value, mirror * value
+        signs[j + k], signs[j - k] = s0 * sign, mirror * s0 * sign
     return values, signs
 
 
@@ -145,8 +131,8 @@ def position_wavefunction_closed(params: ModelParams, n: int) -> np.ndarray:
 def node_count(params: ModelParams, n: int) -> int:
     """Number of sign changes of the level-n position wave function.
 
-    Exact: signs are evaluated in rational arithmetic and entries that are
-    exactly zero are skipped, so near-underflow tails cannot distort the
+    Exact: signs are evaluated in exact integer arithmetic and entries that
+    are exactly zero are skipped, so near-underflow tails cannot distort the
     count. Equals n across the grid.
     """
     _check_level(params, n)

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -187,3 +188,19 @@ def test_domain_errors_exit_3(capsys):
     assert run(capsys, "wavefunction", "--j", "2", "--p", "1.5", "--n", "0")[0] == 3
     assert run(capsys, "spectrum", "--j", "-1")[0] == 3
     assert run(capsys, "limits", "--j", "0", "--p", "0.5", "--alpha", "10")[0] == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ("fourier", "--j", "1000000000", "--p", "0.3"),
+    ("wavefunction", "--j", "1000000000", "--p", "0.3"),
+    ("verify", "--j-max", "1000000000"),
+])
+def test_dense_size_cap_exits_3_without_allocating(capsys, argv):
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, *argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and out == "" and err.startswith("error:")
+    assert peak < 2**20

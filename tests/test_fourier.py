@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from superosc import fourier
 from superosc import (
     J_matrix,
     ModelParams,
@@ -87,6 +88,33 @@ def test_overlap_routes_agree(j, data, p):
     k = data.draw(st.integers(min_value=0, max_value=j))
     l = data.draw(st.integers(min_value=0, max_value=j))
     assert S_closed(k, l, p, j) == pytest.approx(S_sum(k, l, p, j), abs=1e-10)
+
+
+def test_overlap_at_half_is_the_anti_identity():
+    for j in range(41):
+        table = fourier._S_table(0.5, j)
+        assert np.array_equal(table, np.eye(j + 1)[::-1])
+        sums = np.array([[S_sum(k, l, 0.5, j) for l in range(j + 1)] for k in range(j + 1)])
+        assert np.max(np.abs(table - sums)) <= 1e-12
+
+
+def test_closed_overlap_at_half_never_uses_the_sum(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("S_closed fell back to S_sum")
+
+    monkeypatch.setattr(fourier, "S_sum", refuse)
+    for j in range(9):
+        for k in range(j + 1):
+            for l in range(j + 1):
+                assert S_closed(k, l, 0.5, j) == (1.0 if k + l == j else 0.0)
+
+
+@pytest.mark.parametrize("p", [1e-16, 1.0 - 2.0**-53])
+def test_closed_routes_refuse_p_that_rounds_to_an_endpoint(p):
+    with pytest.raises(ValueError):
+        S_closed(1, 1, p, 3)
+    with pytest.raises(ValueError):
+        fourier_analytic(ModelParams(3, p))
 
 
 def test_overlap_domain_checks():

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
-from superosc import fourier, specfun
+from superosc import fourier, specfun, wavefunctions
 from superosc.oracle import krawtchouk_exact
 from superosc.specfun import (
     dual_hahn,
@@ -335,3 +336,96 @@ def test_table_caches_are_bounded():
     for cache in (specfun._krawtchouk_table, specfun._dual_hahn_table, fourier._S_table):
         maxsize = cache.cache_info().maxsize
         assert maxsize is not None and maxsize >= 6
+
+
+def _hyp2f1_fraction(k: int, l: int, j: int, z: Fraction) -> Fraction:
+    # Exact 2F1(-k, -l; -j; z) as its defining sum, term by term in
+    # Fractions: the reference for the integer recurrence.
+    total = Fraction(0)
+    for s in range(min(k, l) + 1):
+        t = Fraction(comb(k, s) * comb(l, s), comb(j, s)) * z**s
+        total += -t if s % 2 else t
+    return total
+
+
+@pytest.mark.parametrize("p_num,p_den", [(1, 3), (1, 2), (7, 10)])
+def test_hyp2f1_recurrence_matches_oracle(p_num, p_den):
+    # K_k(x; p, N) = 2F1(-k, -x; -N; 1/p), so P/Q = p_den/p_num.
+    for N in range(13):
+        for x in range(N + 1):
+            A, D = specfun._hyp2f1_rational(x, N, p_den, p_num)
+            assert min(D) > 0
+            for k in range(N + 1):
+                assert Fraction(A[k], D[k]) == krawtchouk_exact(k, x, p_num, p_den, N)
+
+
+# z = 1/p at p = 0.1, z = 1/(4p(1-p)) at p = 0.37, and a z below 1
+@pytest.mark.parametrize("P,Q", [(10, 1), (10000, 9324), (3, 7)])
+@pytest.mark.parametrize("N", [1, 2, 9, 25, 40])
+def test_hyp2f1_recurrence_matches_fraction_sum(P, Q, N):
+    z = Fraction(P, Q)
+    for x in range(N + 1):
+        A, D = specfun._hyp2f1_rational(x, N, P, Q)
+        assert [Fraction(a, d) for a, d in zip(A, D)] == \
+            [_hyp2f1_fraction(k, x, N, z) for k in range(N + 1)]
+
+
+def _S_fraction(k: int, l: int, j: int, p: float) -> float:
+    # The closed overlap with its square formed as one Fraction.
+    pf = Fraction(p).limit_denominator(10**15)
+    w, one_minus_2p = 4 * pf * (1 - pf), 1 - 2 * pf
+    hyp = _hyp2f1_fraction(k, l, j, 1 / w)
+    square = (Fraction(comb(j, k) * comb(j, l)) * w ** (k + l)
+              * one_minus_2p ** (2 * (j - k - l)) * hyp * hyp)
+    sign = (hyp > 0) - (hyp < 0)
+    if (j - k - l) % 2 and one_minus_2p < 0:
+        sign = -sign
+    return sign * math.sqrt(float(square))
+
+
+def _closed_row_fraction(j: int, p: float, level: int) -> tuple[np.ndarray, list[int]]:
+    # The closed position row with each 2F1 as an exact Fraction sum.
+    values, signs = np.zeros(2 * j + 1), [0] * (2 * j + 1)
+    z = 1 / Fraction(p).limit_denominator(10**15)
+    log_p, log_1p = math.log(p), math.log1p(-p)
+    n, odd = level // 2, level % 2
+    s0 = (-1) ** n
+    if odd:
+        lead = gammaln(j)
+    else:
+        lead = gammaln(j + 1)
+        values[j] = s0 * math.exp(0.5 * (lead - gammaln(n + 1) - gammaln(j - n + 1)
+                                         + n * log_p + (j - n) * log_1p))
+        signs[j] = s0
+    for k in range(1, j + 1):
+        if odd:
+            hyp = _hyp2f1_fraction(k - 1, n, j - 1, z)
+            log_mag = lead + 0.5 * ((n + k - 1) * log_p + (j - n - k) * log_1p
+                                    - gammaln(n + 1) - gammaln(j - n)
+                                    - gammaln(k) - gammaln(j - k + 1))
+        else:
+            hyp = _hyp2f1_fraction(k, n, j, z)
+            log_mag = lead + 0.5 * ((n + k) * log_p + (j - n - k) * log_1p
+                                    - gammaln(n + 1) - gammaln(j - n + 1)
+                                    - gammaln(k + 1) - gammaln(j - k + 1))
+        if hyp == 0:
+            continue
+        sign = 1 if hyp > 0 else -1
+        value = s0 * sign * (1.0 / math.sqrt(2.0)) * math.exp(log_mag) * abs(float(hyp))
+        mirror = -1 if odd else 1
+        values[j + k], values[j - k] = value, mirror * value
+        signs[j + k], signs[j - k] = s0 * sign, mirror * s0 * sign
+    return values, signs
+
+
+@pytest.mark.parametrize("p", [0.1, 0.37, 0.7])
+def test_closed_routes_bit_identical_to_fraction_sums(p):
+    for j in range(21):
+        expected = np.array([[_S_fraction(k, l, j, p) for l in range(j + 1)]
+                             for k in range(j + 1)])
+        assert fourier._S_table(p, j).tobytes() == expected.tobytes()
+        for level in range(2 * j + 1):
+            values, signs = wavefunctions._closed_row(j, p, level)
+            ref_values, ref_signs = _closed_row_fraction(j, p, level)
+            assert values.tobytes() == ref_values.tobytes()
+            assert signs == ref_signs
