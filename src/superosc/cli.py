@@ -22,25 +22,50 @@ import sys
 import numpy as np
 
 from .fourier import fourier_analytic, fourier_spectral
-from .oscillator import ModelParams, hamiltonian_matrix, position_spectrum
+from .oscillator import ModelParams, position_spectrum
 from .suite import DEFAULT_P_LIST, run_suite
 from .wavefunctions import momentum_wavefunction, paraboson_limit_table, position_wavefunction
 
 _DEFAULT_TOL = 1e-10
-# Largest dense (2j+1)x(2j+1) complex array a command may build (j <= 5792).
+# Largest array a command may build: a dense (2j+1)x(2j+1) complex matrix
+# up to j = 5792, a (j+1)x(j+1) float table up to j = 16383.
 _DENSE_BYTES_MAX = 2 * 2**30
+# Peak bytes per printed value of a spectrum (the array, its Python floats
+# and their text; about 70 measured), so a spectrum obeys the same limit
+# up to j = 8388607.
+_TEXT_BYTES_PER_VALUE = 128
+
+
+def _check_size(j: int, nbytes: int, what: str) -> None:
+    # Refuse a j whose largest array cannot fit, before any is allocated.
+    if nbytes > _DENSE_BYTES_MAX:
+        raise ValueError(f"j={j} needs {nbytes} bytes per {what}, "
+                         f"over the {_DENSE_BYTES_MAX}-byte limit")
 
 
 def _check_dense_size(j: int) -> None:
-    # Refuse a j whose dense matrices cannot fit, before any is allocated.
-    nbytes = 16 * (2 * j + 1) ** 2
-    if nbytes > _DENSE_BYTES_MAX:
-        raise ValueError(f"j={j} needs {nbytes} bytes per dense matrix, "
-                         f"over the {_DENSE_BYTES_MAX}-byte limit")
+    _check_size(j, 16 * (2 * j + 1) ** 2, "dense matrix")
 
 
 def _fmt(value: float) -> str:
     return f"{float(value):.17g}"
+
+
+def _fmt_seq(values, sep: str = ",", item: str = "%.17g") -> str:
+    # One %-format for the whole sequence: the same bytes as joining _fmt
+    # over it (-0, nan and inf included). ``item`` may hold several fields,
+    # e.g. "[%.17g,%.17g]" for complex pairs read from a float64 view.
+    values = tuple(values)
+    count = len(values) // item.count("%")
+    return ((item + sep) * count)[:-len(sep)] % values
+
+
+def _floats(array: np.ndarray) -> list:
+    # Real values as (nested lists of) floats; complex ones as interleaved
+    # (re, im) floats along the last axis.
+    if np.iscomplexobj(array):
+        array = np.ascontiguousarray(array, dtype=np.complex128).view(np.float64)
+    return array.tolist()
 
 
 def _json(value) -> str:
@@ -52,10 +77,11 @@ def _json(value) -> str:
         return str(int(value))
     if isinstance(value, (float, np.floating)):
         return _fmt(value)
-    if isinstance(value, complex):
-        return f"[{_fmt(value.real)},{_fmt(value.imag)}]"
     if isinstance(value, dict):
         return "{" + ",".join(f"{_json(str(k))}:{_json(v)}" for k, v in value.items()) + "}"
+    if isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype.kind in "fc":
+        item = "[%.17g,%.17g]" if value.dtype.kind == "c" else "%.17g"
+        return "[" + _fmt_seq(_floats(value), item=item) + "]"
     if isinstance(value, (list, tuple, np.ndarray)):
         return "[" + ",".join(_json(v) for v in value) + "]"
     raise TypeError(f"cannot serialize {type(value)!r}")
@@ -129,16 +155,17 @@ def _common_output_flags(sub: argparse.ArgumentParser) -> None:
 def cmd_spectrum(args: argparse.Namespace) -> tuple[int, str]:
     if args.j < 0:
         raise ValueError(f"need j >= 0, got j={args.j}")
+    _check_size(args.j, _TEXT_BYTES_PER_VALUE * (2 * args.j + 1), "value column")
     if args.observable == "H":
-        values = np.sort(np.diag(hamiltonian_matrix(args.j)))
+        # The Hamiltonian's diagonal 2j - r + 1/2, sorted: exact half-integers.
+        values = np.arange(2 * args.j + 1) + 0.5
     else:
         values = position_spectrum(args.j)
     if args.format == "json":
-        text = _json({"j": args.j, "observable": args.observable,
-                      "values": list(values)}) + "\n"
+        text = _json({"j": args.j, "observable": args.observable, "values": values}) + "\n"
     else:
-        lines = [f"# j={args.j} observable={args.observable}", "value"]
-        lines += [_fmt(v) for v in values]
+        lines = [f"# j={args.j} observable={args.observable}", "value",
+                 _fmt_seq(values.tolist(), sep="\n")]
         text = "\n".join(lines) + "\n"
     return 0, text
 
@@ -148,20 +175,15 @@ def _wave_csv(table) -> list[str]:
     lines = [f"# j={table.j} p={_fmt(table.p)} n={table.n} kind={table.kind} "
              f"energy={_fmt(table.energy)}"]
     lines.append("grid,amplitude_re,amplitude_im" if complex_amp else "grid,amplitude_re")
-    for point, amp in zip(table.grid, table.amplitudes):
-        if complex_amp:
-            lines.append(f"{_fmt(point)},{_fmt(amp.real)},{_fmt(amp.imag)}")
-        else:
-            lines.append(f"{_fmt(point)},{_fmt(amp)}")
+    columns = (table.grid, table.amplitudes.real, table.amplitudes.imag) if complex_amp \
+        else (table.grid, table.amplitudes)
+    lines += [_fmt_seq(row) for row in np.column_stack(columns).tolist()]
     return lines
 
 
 def _wave_json(table) -> dict:
-    complex_amp = np.iscomplexobj(table.amplitudes)
-    amplitude = [complex(a) for a in table.amplitudes] if complex_amp \
-        else [float(a) for a in table.amplitudes]
     return {"j": table.j, "p": table.p, "n": table.n, "kind": table.kind,
-            "energy": table.energy, "grid": list(table.grid), "amplitude": amplitude}
+            "energy": table.energy, "grid": table.grid, "amplitude": table.amplitudes}
 
 
 def cmd_wavefunction(args: argparse.Namespace) -> tuple[int, str]:
@@ -183,15 +205,13 @@ def cmd_fourier(args: argparse.Namespace) -> tuple[int, str]:
     matrix = (fourier_analytic(params) if args.method == "analytic"
               else fourier_spectral(params)).data
     if args.format == "json":
-        payload = {"j": args.j, "p": args.p, "method": args.method,
-                   "matrix": [[complex(v) for v in row] for row in matrix]}
+        payload = {"j": args.j, "p": args.p, "method": args.method, "matrix": matrix}
         text = _json(payload) + "\n"
     else:
         dim = matrix.shape[0]
         lines = [f"# j={args.j} p={_fmt(args.p)} method={args.method}"]
         lines.append(",".join(f"c{c}_re,c{c}_im" for c in range(dim)))
-        for row in matrix:
-            lines.append(",".join(f"{_fmt(v.real)},{_fmt(v.imag)}" for v in row))
+        lines += [_fmt_seq(row) for row in _floats(matrix)]
         text = "\n".join(lines) + "\n"
     return 0, text
 
@@ -210,17 +230,17 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def cmd_limits(args: argparse.Namespace) -> tuple[int, str]:
+    # The dual Hahn and Krawtchouk tables behind each row are (j+1)x(j+1).
+    _check_size(args.j, 8 * (args.j + 1) ** 2, "polynomial table")
     grid_count = min(15, args.j)
     rows = paraboson_limit_table(args.j, args.p, args.alpha, args.n, grid_count)
     if args.format == "json":
-        payload = {"j": args.j, "p": args.p, "alpha": args.alpha, "n": args.n,
-                   "rows": [list(row) for row in rows]}
+        payload = {"j": args.j, "p": args.p, "alpha": args.alpha, "n": args.n, "rows": rows}
         text = _json(payload) + "\n"
     else:
         lines = [f"# j={args.j} p={_fmt(args.p)} alpha={_fmt(args.alpha)} n={args.n}"]
         lines.append("x,discrete,continuum,limit_gap")
-        for row in rows:
-            lines.append(",".join(_fmt(v) for v in row))
+        lines += [_fmt_seq(row) for row in rows.tolist()]
         text = "\n".join(lines) + "\n"
     return 0, text
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -163,43 +164,44 @@ def _fixed_checks(report: VerificationReport, tol: float) -> None:
                    float(np.max(np.abs(toward_one.T @ toward_one - np.eye(2 * j + 1)))),
                    1e-9)
 
+    # Each identity reads most values several times: evaluate each once.
+    # A memo lives for one p (and one j below), the values it can share.
     exact_misses = 0
     for p_num, p_den in ((1, 3), (1, 2), (7, 10)):
         pf = Fraction(p_num, p_den)
+        exact = cache(krawtchouk_exact)
         for j in range(1, 9):
             for k in range(1, j + 1):
                 for n in range(j):
-                    lhs = (krawtchouk_exact(k, n + 1, p_num, p_den, j)
-                           - krawtchouk_exact(k, n, p_num, p_den, j))
-                    rhs = -Fraction(k) / (pf * j) * krawtchouk_exact(k - 1, n, p_num, p_den, j - 1)
+                    lhs = exact(k, n + 1, p_num, p_den, j) - exact(k, n, p_num, p_den, j)
+                    rhs = -Fraction(k) / (pf * j) * exact(k - 1, n, p_num, p_den, j - 1)
                     exact_misses += lhs != rhs
                 for n in range(j + 1):
-                    down = (krawtchouk_exact(k - 1, n - 1, p_num, p_den, j - 1)
-                            if n >= 1 else Fraction(0))
+                    down = exact(k - 1, n - 1, p_num, p_den, j - 1) if n >= 1 else Fraction(0)
                     # Both shifted values sit outside the n <= j-1 grid at the
                     # edges, where their coefficients vanish exactly.
-                    up = (krawtchouk_exact(k - 1, n, p_num, p_den, j - 1)
-                          if n <= j - 1 else Fraction(0))
+                    up = exact(k - 1, n, p_num, p_den, j - 1) if n <= j - 1 else Fraction(0)
                     lhs = (j - n) * up - n * (1 - pf) / pf * down
-                    rhs = j * krawtchouk_exact(k, n, p_num, p_den, j)
+                    rhs = j * exact(k, n, p_num, p_den, j)
                     exact_misses += lhs != rhs
     report.add("shift identities exact (j <= 8)", float(exact_misses), 0.0)
 
     scaled = 0.0
     for p in (0.1, 0.5, 0.9):
         for j in (17, 30):
+            value, term_sum = cache(krawtchouk), cache(_krawtchouk_term_sum)
             for k in range(1, j + 1):
                 for n in range(j):
-                    lhs = krawtchouk(k, n + 1, p, j) - krawtchouk(k, n, p, j)
-                    rhs = -(k / (p * j)) * krawtchouk(k - 1, n, p, j - 1)
+                    lhs = value(k, n + 1, p, j) - value(k, n, p, j)
+                    rhs = -(k / (p * j)) * value(k - 1, n, p, j - 1)
                     # Backward-error scale: each value is a sum whose terms
                     # can dwarf the result (peak ~1e13 against an O(1) value
                     # at p=1/2, k=j=30), so rounding noise is proportional to
                     # the absolute term sums, not to the outputs.
                     cond = max(1.0,
-                               _krawtchouk_term_sum(k, n + 1, p, j),
-                               _krawtchouk_term_sum(k, n, p, j),
-                               (k / (p * j)) * _krawtchouk_term_sum(k - 1, n, p, j - 1))
+                               term_sum(k, n + 1, p, j),
+                               term_sum(k, n, p, j),
+                               (k / (p * j)) * term_sum(k - 1, n, p, j - 1))
                     scaled = max(scaled, abs(lhs - rhs) / cond)
     report.add("forward shift identity, rounding-scaled (j <= 30)", scaled, 1e-12)
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammaln
@@ -21,6 +22,7 @@ from scipy.special import gammaln
 from .fourier import FourierMatrix
 from .oscillator import ModelParams, analytic_U, analytic_V, position_spectrum
 from .specfun import (
+    _CACHE_SIZE,
     _hyp2f1_rational,
     _ratio,
     dual_hahn_normalized,
@@ -82,13 +84,16 @@ def momentum_wavefunction(params: ModelParams, n: int) -> WaveTable:
                      position_spectrum(params.j), analytic_V(params)[n, :].copy())
 
 
-def _closed_row(j: int, p: float, level: int) -> tuple[np.ndarray, list[int]]:
-    # Row `level` from its closed 2F1 form, together with the exact sign of
-    # each entry (0 for exact zeros). Column j+k carries the 2F1 of degree
-    # m = k - odd over N = j - odd, as the ratio A[m]/D[m] of integers from
-    # one recurrence per row; magnitudes combine a log-gamma prefactor with
-    # its absolute value, and signs come from the integers, immune to
-    # underflow. Odd rows are antisymmetric with a zero center.
+@lru_cache(maxsize=_CACHE_SIZE)
+def _closed_row(j: int, p: float, level: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    # Row `level` from its closed 2F1 form, read-only, together with the
+    # exact sign of each entry (0 for exact zeros). Cached, so that
+    # position_wavefunction_closed and node_count share one build. Column
+    # j+k carries the 2F1 of degree m = k - odd over N = j - odd, as the
+    # ratio A[m]/D[m] of integers from one recurrence per row; magnitudes
+    # combine a log-gamma prefactor with its absolute value, and signs come
+    # from the integers, immune to underflow. Odd rows are antisymmetric
+    # with a zero center.
     dim = 2 * j + 1
     values = np.zeros(dim)
     signs = [0] * dim
@@ -114,7 +119,8 @@ def _closed_row(j: int, p: float, level: int) -> tuple[np.ndarray, list[int]]:
         value = s0 * sign * _INV_SQRT2 * math.exp(log_mag) * abs(A[m] / D[m])
         values[j + k], values[j - k] = value, mirror * value
         signs[j + k], signs[j - k] = s0 * sign, mirror * s0 * sign
-    return values, signs
+    values.flags.writeable = False
+    return values, tuple(signs)
 
 
 def position_wavefunction_closed(params: ModelParams, n: int) -> np.ndarray:
@@ -125,7 +131,7 @@ def position_wavefunction_closed(params: ModelParams, n: int) -> np.ndarray:
     """
     _check_level(params, n)
     values, _ = _closed_row(params.j, params.p, n)
-    return values
+    return values.copy()
 
 
 def node_count(params: ModelParams, n: int) -> int:

@@ -5,8 +5,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from superosc import ModelParams, fourier_analytic
-from superosc.cli import main
+from superosc import (
+    ModelParams,
+    fourier_analytic,
+    fourier_spectral,
+    hamiltonian_matrix,
+    momentum_wavefunction,
+    paraboson_limit_table,
+)
+from superosc.cli import _floats, _fmt, _fmt_seq, _json, main
 
 
 def run(capsys, *argv):
@@ -194,6 +201,10 @@ def test_domain_errors_exit_3(capsys):
     ("fourier", "--j", "1000000000", "--p", "0.3"),
     ("wavefunction", "--j", "1000000000", "--p", "0.3"),
     ("verify", "--j-max", "1000000000"),
+    ("limits", "--j", "1000000000", "--p", "0.3", "--alpha", "10"),
+    # The first j over each documented cap.
+    ("limits", "--j", "16384", "--p", "0.3", "--alpha", "10"),
+    ("spectrum", "--j", "8388608", "--observable", "H"),
 ])
 def test_dense_size_cap_exits_3_without_allocating(capsys, argv):
     tracemalloc.start()
@@ -204,3 +215,119 @@ def test_dense_size_cap_exits_3_without_allocating(capsys, argv):
         tracemalloc.stop()
     assert code == 3 and out == "" and err.startswith("error:")
     assert peak < 2**20
+
+
+_EDGE_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+                2.2250738585072014e-308 / 3, 1.7976931348623157e308, 1.0, 0.1, -0.1]
+
+
+def test_bulk_formatter_equals_per_value_fmt():
+    values = np.array(_EDGE_FLOATS)
+    expected = ",".join(_fmt(v) for v in values)
+    assert _fmt_seq(values) == expected
+    assert _fmt_seq(values.tolist()) == expected
+    assert _fmt_seq(values, sep="\n") == "\n".join(_fmt(v) for v in values)
+    assert _fmt_seq([]) == ""
+    assert _fmt_seq([-0.0]) == "-0"
+
+    pairs = np.array([complex(re, im) for re in _EDGE_FLOATS for im in _EDGE_FLOATS[::-1]])
+    assert _fmt_seq(_floats(pairs)) == ",".join(
+        f"{_fmt(v.real)},{_fmt(v.imag)}" for v in pairs)
+    assert _json(pairs) == "[" + ",".join(
+        f"[{_fmt(v.real)},{_fmt(v.imag)}]" for v in pairs) + "]"
+    assert _json(values) == "[" + expected + "]"
+    # A strided view reads the same values as its contiguous copy.
+    assert _json(np.vstack([pairs, pairs]).T[0]) == _json(pairs[:1].repeat(2))
+
+
+def _json_per_value(value):
+    # The per-value rendering the CLI's JSON must equal.
+    if isinstance(value, dict):
+        return "{" + ",".join(f'"{k}":{_json_per_value(v)}' for k, v in value.items()) + "}"
+    if isinstance(value, str):
+        return f'"{value}"'
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, (float, np.floating)):
+        return _fmt(value)
+    if isinstance(value, (complex, np.complexfloating)):
+        return f"[{_fmt(value.real)},{_fmt(value.imag)}]"
+    return "[" + ",".join(_json_per_value(v) for v in value) + "]"
+
+
+@pytest.mark.parametrize("j", [5, 40])
+@pytest.mark.parametrize("method", ["analytic", "spectral"])
+def test_fourier_text_equals_per_value_rendering(capsys, j, method):
+    params = ModelParams(j, 0.37)
+    matrix = (fourier_analytic(params) if method == "analytic"
+              else fourier_spectral(params)).data
+    _, csv_out, _ = run(capsys, "fourier", "--j", str(j), "--p", "0.37", "--method", method)
+    lines = [f"# j={j} p={_fmt(0.37)} method={method}",
+             ",".join(f"c{c}_re,c{c}_im" for c in range(2 * j + 1))]
+    for row in matrix:
+        lines.append(",".join(f"{_fmt(v.real)},{_fmt(v.imag)}" for v in row))
+    assert csv_out == "\n".join(lines) + "\n"
+
+    _, json_out, _ = run(capsys, "fourier", "--j", str(j), "--p", "0.37", "--method", method,
+                         "--format", "json")
+    payload = {"j": j, "p": 0.37, "method": method,
+               "matrix": [[complex(v) for v in row] for row in matrix]}
+    assert json_out == _json_per_value(payload) + "\n"
+
+
+def test_momentum_wavefunction_text_equals_per_value_rendering(capsys):
+    levels = (0, 3, 16)
+    tables = [momentum_wavefunction(ModelParams(8, 0.3), n) for n in levels]
+    _, csv_out, _ = run(capsys, "wavefunction", "--j", "8", "--p", "0.3", "--n", "0,3,16",
+                        "--kind", "momentum")
+    blocks = []
+    for t in tables:
+        lines = [f"# j=8 p={_fmt(0.3)} n={t.n} kind=momentum energy={_fmt(t.energy)}",
+                 "grid,amplitude_re,amplitude_im"]
+        for point, amp in zip(t.grid, t.amplitudes):
+            lines.append(f"{_fmt(point)},{_fmt(amp.real)},{_fmt(amp.imag)}")
+        blocks.append("\n".join(lines))
+    assert csv_out == "\n\n".join(blocks) + "\n"
+
+    _, json_out, _ = run(capsys, "wavefunction", "--j", "8", "--p", "0.3", "--n", "0,3,16",
+                         "--kind", "momentum", "--format", "json")
+    payload = [{"j": 8, "p": 0.3, "n": t.n, "kind": "momentum", "energy": t.energy,
+                "grid": list(t.grid), "amplitude": [complex(a) for a in t.amplitudes]}
+               for t in tables]
+    assert json_out == _json_per_value(payload) + "\n"
+
+
+def test_limits_text_equals_per_value_rendering(capsys):
+    rows = paraboson_limit_table(30, 0.3, 10.0, 1, 15)
+    _, csv_out, _ = run(capsys, "limits", "--j", "30", "--p", "0.3", "--alpha", "10", "--n", "1")
+    lines = [f"# j=30 p={_fmt(0.3)} alpha=10 n=1", "x,discrete,continuum,limit_gap"]
+    lines += [",".join(_fmt(v) for v in row) for row in rows]
+    assert csv_out == "\n".join(lines) + "\n"
+
+    _, json_out, _ = run(capsys, "limits", "--j", "30", "--p", "0.3", "--alpha", "10",
+                         "--n", "1", "--format", "json")
+    payload = {"j": 30, "p": 0.3, "alpha": 10.0, "n": 1, "rows": [list(r) for r in rows]}
+    assert json_out == _json_per_value(payload) + "\n"
+
+
+def test_hamiltonian_spectrum_equals_sorted_diagonal(capsys):
+    for j in range(51):
+        values = np.sort(np.diag(hamiltonian_matrix(j)))
+        _, out, _ = run(capsys, "spectrum", "--j", str(j), "--observable", "H")
+        assert out == "\n".join([f"# j={j} observable=H", "value"]
+                                + [_fmt(v) for v in values]) + "\n"
+        _, out, _ = run(capsys, "spectrum", "--j", str(j), "--observable", "H",
+                        "--format", "json")
+        assert out == _json_per_value({"j": j, "observable": "H",
+                                       "values": list(values)}) + "\n"
+
+
+def test_hamiltonian_spectrum_needs_no_dense_matrix(capsys):
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, "spectrum", "--j", "20000", "--observable", "H")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and out.splitlines()[-1] == "40000.5"
+    assert peak < 16 * 2**20

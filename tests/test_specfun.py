@@ -383,7 +383,7 @@ def _S_fraction(k: int, l: int, j: int, p: float) -> float:
     return sign * math.sqrt(float(square))
 
 
-def _closed_row_fraction(j: int, p: float, level: int) -> tuple[np.ndarray, list[int]]:
+def _closed_row_fraction(j: int, p: float, level: int) -> tuple[np.ndarray, tuple[int, ...]]:
     # The closed position row with each 2F1 as an exact Fraction sum.
     values, signs = np.zeros(2 * j + 1), [0] * (2 * j + 1)
     z = 1 / Fraction(p).limit_denominator(10**15)
@@ -415,7 +415,7 @@ def _closed_row_fraction(j: int, p: float, level: int) -> tuple[np.ndarray, list
         mirror = -1 if odd else 1
         values[j + k], values[j - k] = value, mirror * value
         signs[j + k], signs[j - k] = s0 * sign, mirror * s0 * sign
-    return values, signs
+    return values, tuple(signs)
 
 
 @pytest.mark.parametrize("p", [0.1, 0.37, 0.7])

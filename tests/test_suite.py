@@ -1,4 +1,6 @@
-from superosc import suite
+from fractions import Fraction
+
+from superosc import suite, wavefunctions
 from superosc.report import VerificationReport
 
 
@@ -20,3 +22,75 @@ def test_p_to_zero_convergence_check_catches_a_flipped_limit(monkeypatch):
     suite._fixed_checks(report, 1e-10)
     # j = 0 included: the single entry 1 becomes -1.
     assert not any(c.passed for c in _limit_checks(report))
+
+
+def _check(report, name):
+    matches = [c for c in report.checks if c.name == name]
+    assert len(matches) == 1
+    return matches[0]
+
+
+def test_memoized_exact_shift_identities_catch_one_wrong_value(monkeypatch):
+    krawtchouk_exact = suite.krawtchouk_exact
+
+    def perturbed(n, x, p_num, p_den, N):
+        value = krawtchouk_exact(n, x, p_num, p_den, N)
+        return value + Fraction(1, 10**9) if (n, x, p_num, p_den, N) == (2, 3, 1, 3, 6) else value
+
+    name = "shift identities exact (j <= 8)"
+    report = VerificationReport()
+    suite._fixed_checks(report, 1e-10)
+    assert _check(report, name).passed
+    monkeypatch.setattr(suite, "krawtchouk_exact", perturbed)
+    report = VerificationReport()
+    suite._fixed_checks(report, 1e-10)
+    assert not _check(report, name).passed
+
+
+def test_memoized_float_shift_identity_catches_one_wrong_value(monkeypatch):
+    krawtchouk = suite.krawtchouk
+
+    def perturbed(n, x, p, N):
+        value = krawtchouk(n, x, p, N)
+        return value + 1e-6 if (n, x, p, N) == (3, 5, 0.5, 17) else value
+
+    monkeypatch.setattr(suite, "krawtchouk", perturbed)
+    report = VerificationReport()
+    suite._fixed_checks(report, 1e-10)
+    assert not _check(report, "forward shift identity, rounding-scaled (j <= 30)").passed
+
+
+def test_cached_closed_rows_still_fail_node_counts(monkeypatch):
+    closed_row = wavefunctions._closed_row
+    closed_row.cache_clear()
+    report = VerificationReport()
+    suite._sweep_checks(report, 4, 0.3, 1e-10)
+    assert _check(report, "j=4 p=0.3 node counts").passed
+
+    def flipped(j, p, level):
+        values, signs = closed_row(j, p, level)
+        if level == 3:
+            signs = (-signs[0],) + signs[1:]
+        return values, signs
+
+    closed_row.cache_clear()
+    monkeypatch.setattr(wavefunctions, "_closed_row", flipped)
+    report = VerificationReport()
+    suite._sweep_checks(report, 4, 0.3, 1e-10)
+    assert _check(report, "j=4 p=0.3 node counts").residual == 1.0
+    assert _check(report, "j=4 p=0.3 closed-form route agreement").passed
+    closed_row.cache_clear()
+
+
+def test_closed_row_is_built_once_per_level():
+    closed_row = wavefunctions._closed_row
+    closed_row.cache_clear()
+    params = suite.ModelParams(6, 0.3)
+    for level in range(params.dim):
+        row = wavefunctions.position_wavefunction_closed(params, level)
+        row[0] = 99.0  # the caller's copy; the cached row stays read-only
+        assert wavefunctions.node_count(params, level) == level
+    info = closed_row.cache_info()
+    assert (info.misses, info.hits) == (params.dim, params.dim)
+    assert not closed_row(6, 0.3, 0)[0].flags.writeable
+    assert closed_row(6, 0.3, 0)[0][0] != 99.0
