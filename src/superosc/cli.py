@@ -47,6 +47,12 @@ def _check_dense_size(j: int) -> None:
     _check_size(j, 16 * (2 * j + 1) ** 2, "dense matrix")
 
 
+def _check_table_size(j: int) -> None:
+    # A (j+1)x(j+1) float polynomial table, the largest array of a command
+    # that reads table columns.
+    _check_size(j, 8 * (j + 1) ** 2, "polynomial table")
+
+
 def _fmt(value: float) -> str:
     return f"{float(value):.17g}"
 
@@ -187,7 +193,8 @@ def _wave_json(table) -> dict:
 
 
 def cmd_wavefunction(args: argparse.Namespace) -> tuple[int, str]:
-    _check_dense_size(args.j)
+    # Each row is read from a Krawtchouk table, with no dense matrix.
+    _check_table_size(args.j)
     params = ModelParams(args.j, args.p)
     build = position_wavefunction if args.kind == "position" else momentum_wavefunction
     tables = [build(params, n) for n in args.n]
@@ -231,7 +238,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
 
 def cmd_limits(args: argparse.Namespace) -> tuple[int, str]:
     # The dual Hahn and Krawtchouk tables behind each row are (j+1)x(j+1).
-    _check_size(args.j, 8 * (args.j + 1) ** 2, "polynomial table")
+    _check_table_size(args.j)
     grid_count = min(15, args.j)
     rows = paraboson_limit_table(args.j, args.p, args.alpha, args.n, grid_count)
     if args.format == "json":

@@ -126,6 +126,30 @@ def position_spectrum(j: int) -> np.ndarray:
     return np.sign(k) * np.sqrt(np.abs(k))
 
 
+def _fill_rows(p: float, j: int, lo: int, even: np.ndarray, odd: np.ndarray) -> None:
+    # Rows 2n of analytic_U into even and rows 2n+1 into odd, for
+    # n = lo, lo+1, ..., as many as each output holds; every entry is
+    # written. Each row reads column n of a Krawtchouk table as a view, and
+    # its sign (-1)^n comes from the absolute n.
+    first = (lo + 1) % 2  # position of the first odd n in the block
+    if len(even):
+        # Row 2n at column j+k is (-1)^n K~_k(n)/sqrt(2); column j-k mirrors
+        # column j+k.
+        table = krawtchouk_table(p, j)[:, lo:lo + len(even)]
+        even[:, j] = table[0]
+        np.multiply(table[1:].T, _INV_SQRT2, out=even[:, j + 1:])
+        even[first::2, j:] *= -1.0
+        even[:, :j] = even[:, :j:-1]
+    if len(odd):
+        # Row 2n+1 at column j+k is (-1)^n K~_{k-1}(n; p, j-1)/sqrt(2); column
+        # j-k holds its negative and the center column is zero.
+        table = krawtchouk_table(p, j - 1)[:, lo:lo + len(odd)]
+        np.multiply(table.T, _INV_SQRT2, out=odd[:, j + 1:])
+        odd[first::2, j + 1:] *= -1.0
+        odd[:, j] = 0.0
+        np.negative(odd[:, :j:-1], out=odd[:, :j])
+
+
 def analytic_U(params: ModelParams) -> np.ndarray:
     """Closed-form orthogonal eigenvector matrix of the position operator.
 
@@ -135,24 +159,19 @@ def analytic_U(params: ModelParams) -> np.ndarray:
     row 2n carries (-1)^n K~_k(n)/sqrt(2) at columns j-+k with the center
     column unhalved, and odd rows are antisymmetric with zero center.
     """
-    j, p = params.j, params.p
-    mat = np.zeros((params.dim, params.dim))
-    # Row 2n at column j+k is (-1)^n K~_k(n)/sqrt(2), the transposed table;
-    # column j-k mirrors column j+k.
-    even = mat[0::2]
-    table_j = krawtchouk_table(p, j)
-    even[:, j] = table_j[0]
-    np.multiply(table_j[1:].T, _INV_SQRT2, out=even[:, j + 1:])
-    even[1::2, j:] *= -1.0
-    even[:, :j] = even[:, :j:-1]
-    if j >= 1:
-        # Row 2n+1 at column j+k is (-1)^n K~_{k-1}(n; p, j-1)/sqrt(2); column
-        # j-k holds its negative and the center column stays zero.
-        odd = mat[1::2]
-        np.multiply(krawtchouk_table(p, j - 1).T, _INV_SQRT2, out=odd[:, j + 1:])
-        odd[1::2, j + 1:] *= -1.0
-        np.negative(odd[:, :j:-1], out=odd[:, :j])
+    mat = np.empty((params.dim, params.dim))
+    _fill_rows(params.p, params.j, 0, mat[0::2], mat[1::2])
     return mat
+
+
+def _level_row(params: ModelParams, n: int) -> np.ndarray:
+    # Row n of analytic_U alone, read from one column of one cached table.
+    row = np.empty((1, params.dim))
+    if n % 2:
+        _fill_rows(params.p, params.j, n // 2, row[:0], row)
+    else:
+        _fill_rows(params.p, params.j, n // 2, row, row[:0])
+    return row[0]
 
 
 def _row_phases(j: int) -> np.ndarray:
@@ -224,7 +243,7 @@ def limit_U(j: int, side: str) -> np.ndarray:
     if side == "toward-one":
         if j == 0:
             return np.array([[1.0]])
-        mat = analytic_U(ModelParams(j, 1.0 - _LIMIT_EPS)).copy()
+        mat = analytic_U(ModelParams(j, 1.0 - _LIMIT_EPS))
         mat[np.abs(mat) < _LIMIT_EPS**0.25] = 0.0
         return mat
     raise ValueError(f"side must be 'toward-zero' or 'toward-one', got {side!r}")

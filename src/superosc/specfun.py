@@ -159,9 +159,9 @@ def _jacobi_table(diag: np.ndarray, off: np.ndarray, sign) -> np.ndarray:
         ns = np.argmax(np.abs(vecs[:, weak]), axis=0)
         true_sign = sign(diag, off, weak, ns)
         flip[weak] = np.where(vecs[ns, weak] > 0, true_sign, -true_sign)
-    table = vecs * flip[None, :]
-    table.flags.writeable = False
-    return table
+    vecs *= flip[None, :]
+    vecs.flags.writeable = False
+    return vecs
 
 
 def _krawtchouk_sign(diag: np.ndarray, off: np.ndarray, x: np.ndarray,

@@ -13,6 +13,7 @@ lattice.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -20,7 +21,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .fourier import FourierMatrix
-from .oscillator import ModelParams, analytic_U, analytic_V, position_spectrum
+from .oscillator import ModelParams, _level_row, _row_phases, position_spectrum
 from .specfun import (
     _CACHE_SIZE,
     _hyp2f1_rational,
@@ -66,22 +67,38 @@ class WaveTable:
 
 
 def _check_level(params: ModelParams, n: int) -> None:
+    # Levels follow the rule ModelParams applies to j: bool and integral
+    # floats such as 2.0 are not levels.
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise ValueError(f"need an integer level, got n={n!r}")
     if not 0 <= n <= 2 * params.j:
         raise IndexError(f"level must lie in 0..{2 * params.j}, got n={n}")
 
 
 def position_wavefunction(params: ModelParams, n: int) -> WaveTable:
-    """Level-n position wave function: row n of the position eigenvectors."""
+    """Level-n position wave function: row n of the position eigenvectors.
+
+    The row is read from one column of one cached Krawtchouk table, (p, j)
+    for even n and (p, j-1) for odd n, in O(j) once that table is cached;
+    a cold call builds the table, O(j^2) memory. The values are those of
+    ``analytic_U(params)[n]``, bit for bit.
+    """
     _check_level(params, n)
     return WaveTable("position", params.j, params.p, n,
-                     position_spectrum(params.j), analytic_U(params)[n, :].copy())
+                     position_spectrum(params.j), _level_row(params, n))
 
 
 def momentum_wavefunction(params: ModelParams, n: int) -> WaveTable:
-    """Level-n momentum wave function: row n of the momentum eigenvectors."""
+    """Level-n momentum wave function: row n of the momentum eigenvectors.
+
+    The position row times its phase, read from one cached Krawtchouk table
+    like :func:`position_wavefunction`: O(j) once the table is cached, one
+    table build when cold. The values are those of
+    ``analytic_V(params)[n]``, bit for bit.
+    """
     _check_level(params, n)
-    return WaveTable("momentum", params.j, params.p, n,
-                     position_spectrum(params.j), analytic_V(params)[n, :].copy())
+    return WaveTable("momentum", params.j, params.p, n, position_spectrum(params.j),
+                     _row_phases(params.j)[n] * _level_row(params, n))
 
 
 @lru_cache(maxsize=_CACHE_SIZE)

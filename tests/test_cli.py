@@ -7,11 +7,14 @@ import pytest
 
 from superosc import (
     ModelParams,
+    analytic_U,
+    analytic_V,
     fourier_analytic,
     fourier_spectral,
     hamiltonian_matrix,
     momentum_wavefunction,
     paraboson_limit_table,
+    position_spectrum,
 )
 from superosc.cli import _floats, _fmt, _fmt_seq, _json, main
 
@@ -204,6 +207,7 @@ def test_domain_errors_exit_3(capsys):
     ("limits", "--j", "1000000000", "--p", "0.3", "--alpha", "10"),
     # The first j over each documented cap.
     ("limits", "--j", "16384", "--p", "0.3", "--alpha", "10"),
+    ("wavefunction", "--j", "16384", "--p", "0.3"),
     ("spectrum", "--j", "8388608", "--observable", "H"),
 ])
 def test_dense_size_cap_exits_3_without_allocating(capsys, argv):
@@ -294,6 +298,34 @@ def test_momentum_wavefunction_text_equals_per_value_rendering(capsys):
     payload = [{"j": 8, "p": 0.3, "n": t.n, "kind": "momentum", "energy": t.energy,
                 "grid": list(t.grid), "amplitude": [complex(a) for a in t.amplitudes]}
                for t in tables]
+    assert json_out == _json_per_value(payload) + "\n"
+
+
+@pytest.mark.parametrize("kind", ["position", "momentum"])
+def test_wavefunction_text_equals_dense_rows(capsys, kind):
+    # The rows the CLI prints are the rows of the dense eigenvector matrices.
+    j, p, levels = 9, 0.37, (0, 1, 6, 11, 18)
+    params = ModelParams(j, p)
+    dense = analytic_U(params) if kind == "position" else analytic_V(params)
+    grid = position_spectrum(j)
+    argv = ("wavefunction", "--j", str(j), "--p", str(p), "--n", "0,1,6,11,18", "--kind", kind)
+    _, csv_out, _ = run(capsys, *argv)
+    blocks = []
+    for n in levels:
+        header = "grid,amplitude_re" + (",amplitude_im" if kind == "momentum" else "")
+        lines = [f"# j={j} p={_fmt(p)} n={n} kind={kind} energy={_fmt(n + 0.5)}", header]
+        for point, amp in zip(grid, dense[n]):
+            parts = [_fmt(point), _fmt(amp.real)]
+            if kind == "momentum":
+                parts.append(_fmt(amp.imag))
+            lines.append(",".join(parts))
+        blocks.append("\n".join(lines))
+    assert csv_out == "\n\n".join(blocks) + "\n"
+
+    _, json_out, _ = run(capsys, *argv, "--format", "json")
+    convert = float if kind == "position" else complex
+    payload = [{"j": j, "p": p, "n": n, "kind": kind, "energy": n + 0.5, "grid": list(grid),
+                "amplitude": [convert(a) for a in dense[n]]} for n in levels]
     assert json_out == _json_per_value(payload) + "\n"
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from superosc import (
     position_wavefunction,
     position_wavefunction_closed,
 )
+from superosc import oscillator, wavefunctions
+from superosc.specfun import _krawtchouk_table
 
 
 def test_wave_table_fields():
@@ -34,6 +37,58 @@ def test_level_range_is_enforced():
         position_wavefunction(params, 5)
     with pytest.raises(IndexError):
         position_wavefunction(params, -1)
+
+
+@pytest.mark.parametrize("build", [position_wavefunction, momentum_wavefunction,
+                                   position_wavefunction_closed, node_count])
+@pytest.mark.parametrize("level", [True, False, 2.0, 1.5, "1", None])
+def test_levels_must_be_integers(build, level):
+    with pytest.raises(ValueError):
+        build(ModelParams(j=2, p=0.4), level)
+
+
+@pytest.mark.parametrize("p", [0.5, 0.37, 0.7, 1e-3, 0.9])
+def test_rows_equal_dense_rows_bit_for_bit(p):
+    for j in list(range(41)) + [101, 300]:
+        params = ModelParams(j=j, p=p)
+        u, v = analytic_U(params), analytic_V(params)
+        for n in range(2 * j + 1):
+            assert position_wavefunction(params, n).amplitudes.tobytes() == u[n].tobytes()
+            assert momentum_wavefunction(params, n).amplitudes.tobytes() == v[n].tobytes()
+
+
+def test_rows_need_no_dense_matrix(monkeypatch):
+    params = ModelParams(j=7, p=0.3)
+    expected_u, expected_v = analytic_U(params), analytic_V(params)
+
+    def refuse(params):
+        raise AssertionError("a row read built a dense eigenvector matrix")
+
+    for module in (oscillator, wavefunctions):
+        for name in ("analytic_U", "analytic_V"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    for n in range(15):
+        assert np.array_equal(position_wavefunction(params, n).amplitudes, expected_u[n])
+        assert np.array_equal(momentum_wavefunction(params, n).amplitudes, expected_v[n])
+
+
+def test_warm_row_read_is_linear_in_j():
+    # At j = 1000 a dense U takes 32 MB; a warm row read takes one column
+    # of a cached table and allocates O(j).
+    params = ModelParams(j=1000, p=0.3)
+    position_wavefunction(params, 0)
+    position_wavefunction(params, 1)
+    misses = _krawtchouk_table.cache_info().misses
+    tracemalloc.start()
+    try:
+        for n in (0, 1, 998, 1999, 2000):
+            position_wavefunction(params, n)
+            momentum_wavefunction(params, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert _krawtchouk_table.cache_info().misses == misses
 
 
 def test_rows_are_normalized():
