@@ -11,6 +11,7 @@ parity rule in j.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -97,32 +98,51 @@ def S_sum(k: int, l: int, p: float, j: int) -> float:
     return float(np.sum(signs * table[k, :] * table[l, :]))
 
 
-def _S_column(a: int, b: int, j: int, l: int) -> list[float]:
-    # S(k, l; a/b, j) for k = l..j, from the closed form
-    # S^2 = C(j,k) C(j,l) w^(k+l) (1-2p)^(2(j-k-l)) 2F1(-k, -l; -j; 1/w)^2
-    # with w = 4p(1-p) = Q/b^2 and 1-2p = e/b, held as one exact integer
-    # ratio (|S| <= 1, so the division cannot overflow); the powers of b
-    # collect to b^(2j). The sign is that of the 2F1, flipped for odd j-k-l
-    # when 1-2p < 0. At p = 1/2 the column is that of the anti-identity.
-    if b == 2 * a:
-        return [float(k + l == j) for k in range(l, j + 1)]
+def _S_parts(p: float, j: int) -> tuple[int, int, int, list[int], list[int], list[int]]:
+    # The integers that the overlaps at (p, j) share, p = a/b: b^2,
+    # Q = 4a(b-a), e = b-2a and, for d = 0..j, the powers Q^d and e^(2d)
+    # and the scale b^(2j) d! j!/(j-d)!.
+    a, b = _ratio(p)
     Q, e = 4 * a * (b - a), b - 2 * a
-    A, D = _hyp2f1_rational(l, j, b * b, Q)
-    b2j = b ** (2 * j)
-    column = []
-    for k in range(l, j + 1):
+    q_pow, e_pow, scale = [1], [1], [b ** (2 * j)]
+    for d in range(j):
+        q_pow.append(q_pow[d] * Q)
+        e_pow.append(e_pow[d] * e * e)
+        scale.append(scale[d] * (d + 1) * (j - d))
+    return b * b, Q, e, q_pow, e_pow, scale
+
+
+def _S_row(j: int, k: int, ls: Sequence[int], parts) -> list[float]:
+    # S(k, l; p, j) for the ascending l in ls, each l <= k, from the
+    # closed form
+    #   S^2 = C(j,k) C(j,l) w^(k+l) (1-2p)^(2m) 2F1(-k, -l; -j; 1/w)^2,
+    # m = j-k-l, with w = 4p(1-p) = Q/b^2 and 1-2p = e/b. The 2F1 is
+    # symmetric in k and l, so one recurrence in the degree l, stopped at
+    # the last l wanted, gives it as A[l] / (Q^l j!/(j-l)!). That scale
+    # cancels against C(j,l) w^(k+l) before anything is squared:
+    #   S^2 = C(j,k) Q^(k-l) e^(2m) A[l]^2 / (b^(2j) l! j!/(j-l)!),
+    # one exact integer ratio (|S| <= 1, so the division cannot overflow)
+    # with every factor but A[l] taken from parts = _S_parts(p, j). The
+    # sign is that of A[l], flipped for odd m when 1-2p < 0. At p = 1/2
+    # (e = 0) the entries are those of the anti-identity.
+    b2, Q, e, q_pow, e_pow, scale = parts
+    if e == 0:
+        return [float(k + l == j) for l in ls]
+    A = _hyp2f1_rational(k, j, b2, Q, ls[-1])
+    head = comb(j, k)
+    row = []
+    for l in ls:
         m = j - k - l
-        num = comb(j, k) * comb(j, l) * Q ** (k + l) * A[k] ** 2
-        den = b2j * D[k] ** 2
+        num, den = head * q_pow[k - l] * A[l] ** 2, scale[l]
         if m >= 0:
-            num *= e ** (2 * m)
+            num *= e_pow[m]
         else:
-            den *= e ** (-2 * m)
-        sign = (A[k] > 0) - (A[k] < 0)
+            den *= e_pow[-m]
+        sign = (A[l] > 0) - (A[l] < 0)
         if m % 2 and e < 0:
             sign = -sign
-        column.append(sign * math.sqrt(num / den))
-    return column
+        row.append(sign * math.sqrt(num / den))
+    return row
 
 
 def S_closed(k: int, l: int, p: float, j: int) -> float:
@@ -130,7 +150,12 @@ def S_closed(k: int, l: int, p: float, j: int) -> float:
 
     Evaluates sqrt(C(j,k) C(j,l)) (4p(1-p))^((k+l)/2) (1-2p)^(j-k-l)
     * 2F1(-k, -l; -j; 1/(4p(1-p))) in exact integer arithmetic before one
-    final square root. At p = 1/2 the overlap is the anti-identity
+    final square root. With p = a/b, Q = 4a(b-a), e = b-2a and k >= l (S is
+    symmetric), the square is the integer ratio
+    C(j,k) Q^(k-l) e^(2(j-k-l)) A^2 / (b^(2j) l! j!/(j-l)!), where
+    A = Q^l j!/(j-l)! 2F1(...) comes from a recurrence stopped at degree l;
+    the result is bit for bit the table entry :func:`fourier_analytic`
+    uses. At p = 1/2 the overlap is the anti-identity
     S(k, l; 1/2, j) = delta(k+l, j) (Chu-Vandermonde on k + l = j, the
     symmetry K~_{j-k}(n) = (-1)^n K~_k(n) and orthogonality elsewhere), which
     also covers the removable singularity of the closed form at k + l > j.
@@ -139,15 +164,17 @@ def S_closed(k: int, l: int, p: float, j: int) -> float:
         raise ValueError(f"need 0 <= k, l <= j, got k={k}, l={l}, j={j}")
     if not 0.0 < p < 1.0:
         raise ValueError(f"need 0 < p < 1, got p={p}")
-    return _S_column(*_ratio(p), j, min(k, l))[abs(k - l)]
+    k, l = max(k, l), min(k, l)
+    return _S_row(j, k, (l,), _S_parts(p, j))[0]
 
 
 @lru_cache(maxsize=64)
 def _S_table(p: float, j: int) -> np.ndarray:
-    a, b = _ratio(p)
+    # Row k of the lower triangle, mirrored into column k.
+    parts = _S_parts(p, j)
     table = np.empty((j + 1, j + 1))
-    for l in range(j + 1):
-        table[l:, l] = table[l, l:] = _S_column(a, b, j, l)
+    for k in range(j + 1):
+        table[k, :k + 1] = table[:k + 1, k] = _S_row(j, k, range(k + 1), parts)
     table.flags.writeable = False
     return table
 

@@ -101,11 +101,11 @@ def momentum_matrix(params: ModelParams) -> np.ndarray:
     matrices; the test suite checks that identity exactly.
     """
     off = _position_offdiag(params.j, params.p)
-    band = np.zeros((params.dim, params.dim))
+    mat = np.zeros((params.dim, params.dim), dtype=complex)
     idx = np.arange(len(off))
-    band[idx, idx + 1] = off
-    band[idx + 1, idx] = -off
-    return 1j * band
+    mat[idx, idx + 1] = 1j * off
+    mat[idx + 1, idx] = 1j * -off
+    return mat
 
 
 def hamiltonian_matrix(j: int) -> np.ndarray:
@@ -174,13 +174,14 @@ def _level_row(params: ModelParams, n: int) -> np.ndarray:
     return row[0]
 
 
+# Phase -i * i^r of row r, by r mod 4: -i(-1)^k on row 2k, (-1)^k on row
+# 2k+1. Every zero part is +0.0 (the literal -1j would carry -0.0).
+_ROW_PHASES = np.array([complex(0.0, -1.0), 1.0, 1j, -1.0])
+
+
 def _row_phases(j: int) -> np.ndarray:
-    # Phase -i(-1)^k on row 2k, (-1)^k on row 2k+1; equals -i * i^r at row r.
-    r = np.arange(2 * j + 1)
-    half = r // 2
-    phase = np.where(half % 2 == 0, 1.0, -1.0).astype(complex)
-    phase[r % 2 == 0] *= -1j
-    return phase
+    # The phases of rows 0..2j.
+    return _ROW_PHASES[np.arange(2 * j + 1) % 4]
 
 
 def analytic_V(params: ModelParams) -> np.ndarray:

@@ -314,9 +314,11 @@ def paraboson_even_wavefunction(n: int, c: float, x: float) -> float:
     return sign * math.exp(log_mag)
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
 def _ratio(p: float) -> tuple[int, int]:
     # p as a/b in lowest terms: the closest fraction with b <= 10^15, which
-    # is the decimal a float like 0.37 was written as.
+    # is the decimal a float like 0.37 was written as. Cached: a model's
+    # closed rows and overlap tables all convert the same p.
     pf = Fraction(p).limit_denominator(10**15)
     a, b = pf.numerator, pf.denominator
     if not 0 < a < b:
@@ -325,15 +327,16 @@ def _ratio(p: float) -> tuple[int, int]:
     return a, b
 
 
-def _hyp2f1_rational(x: int, N: int, P: int, Q: int) -> tuple[list[int], list[int]]:
-    # Exact 2F1(-k, -x; -N; P/Q) = A[k] / D[k] for k = 0..N, integers
-    # 0 <= x <= N and P, Q > 0. Over k the values form a Krawtchouk sequence,
-    # so they follow its three-term recurrence (Koekoek, Lesky & Swarttouw,
-    # section 9.11); scaled by D[k] = Q^k N!/(N-k)! > 0 it runs in integers.
-    A, D = [1, Q * N - x * P], [1]
-    for k in range(1, N):
-        A.append((Q * (N - k) + k * (P - Q) - x * P) * A[k]
-                 - k * (P - Q) * Q * (N - k + 1) * A[k - 1])
-    for k in range(N):
-        D.append(D[k] * Q * (N - k))
-    return A[:N + 1], D
+def _hyp2f1_rational(x: int, N: int, P: int, Q: int, top: int | None = None) -> list[int]:
+    # Integers A[k], k = 0..top (default N), with exact
+    # 2F1(-k, -x; -N; P/Q) = A[k] / (Q^k N!/(N-k)!) for integers
+    # 0 <= x, top <= N and P, Q > 0. Over k the values form a Krawtchouk
+    # sequence, so they follow its three-term recurrence (Koekoek, Lesky &
+    # Swarttouw, section 9.11); scaled by the positive Q^k N!/(N-k)! it runs
+    # in integers, and it stops at degree top.
+    top = N if top is None else top
+    A, step, xP = [1, Q * N - x * P], P - Q, x * P
+    for k in range(1, top):
+        A.append((Q * (N - k) + k * step - xP) * A[k]
+                 - k * step * Q * (N - k + 1) * A[k - 1])
+    return A[:top + 1]

@@ -16,7 +16,6 @@ means the momentum eigensystem is genuinely correct.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import cache
 
 import numpy as np
@@ -165,25 +164,33 @@ def _fixed_checks(report: VerificationReport, tol: float) -> None:
                    1e-9)
 
     # Each identity reads most values several times: evaluate each once.
-    # A memo lives for one p (and one j below), the values it can share.
+    # A memo lives for one p, the values it can share. Each value is kept as
+    # its integer ratio and each identity is multiplied through by its
+    # integer scale, so both sides are compared as integers.
     exact_misses = 0
     for p_num, p_den in ((1, 3), (1, 2), (7, 10)):
-        pf = Fraction(p_num, p_den)
-        exact = cache(krawtchouk_exact)
+        @cache
+        def exact(n: int, x: int, N: int, p_num=p_num, p_den=p_den) -> tuple[int, int]:
+            return krawtchouk_exact(n, x, p_num, p_den, N).as_integer_ratio()
+
         for j in range(1, 9):
             for k in range(1, j + 1):
                 for n in range(j):
-                    lhs = exact(k, n + 1, p_num, p_den, j) - exact(k, n, p_num, p_den, j)
-                    rhs = -Fraction(k) / (pf * j) * exact(k - 1, n, p_num, p_den, j - 1)
-                    exact_misses += lhs != rhs
+                    # p_num j (K(k, n+1) - K(k, n)) = -k p_den K(k-1, n; j-1)
+                    (a1, b1), (a0, b0) = exact(k, n + 1, j), exact(k, n, j)
+                    c, d = exact(k - 1, n, j - 1)
+                    exact_misses += (p_num * j * (a1 * b0 - a0 * b1) * d
+                                     != -k * p_den * c * b1 * b0)
                 for n in range(j + 1):
-                    down = exact(k - 1, n - 1, p_num, p_den, j - 1) if n >= 1 else Fraction(0)
+                    # p_num (j-n) up - n (p_den-p_num) down = p_num j K(k, n).
                     # Both shifted values sit outside the n <= j-1 grid at the
                     # edges, where their coefficients vanish exactly.
-                    up = exact(k - 1, n, p_num, p_den, j - 1) if n <= j - 1 else Fraction(0)
-                    lhs = (j - n) * up - n * (1 - pf) / pf * down
-                    rhs = j * exact(k, n, p_num, p_den, j)
-                    exact_misses += lhs != rhs
+                    u1, u2 = exact(k - 1, n, j - 1) if n <= j - 1 else (0, 1)
+                    d1, d2 = exact(k - 1, n - 1, j - 1) if n >= 1 else (0, 1)
+                    c, d = exact(k, n, j)
+                    exact_misses += ((p_num * (j - n) * u1 * d2
+                                      - n * (p_den - p_num) * d1 * u2) * d
+                                     != p_num * j * c * u2 * d2)
     report.add("shift identities exact (j <= 8)", float(exact_misses), 0.0)
 
     scaled = 0.0

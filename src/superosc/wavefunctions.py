@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .fourier import FourierMatrix
-from .oscillator import ModelParams, _level_row, _row_phases, position_spectrum
+from .oscillator import _ROW_PHASES, ModelParams, _level_row, position_spectrum
 from .specfun import (
     _CACHE_SIZE,
     _hyp2f1_rational,
@@ -98,7 +98,7 @@ def momentum_wavefunction(params: ModelParams, n: int) -> WaveTable:
     """
     _check_level(params, n)
     return WaveTable("momentum", params.j, params.p, n, position_spectrum(params.j),
-                     _row_phases(params.j)[n] * _level_row(params, n))
+                     _ROW_PHASES[n % 4] * _level_row(params, n))
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -107,10 +107,11 @@ def _closed_row(j: int, p: float, level: int) -> tuple[np.ndarray, tuple[int, ..
     # exact sign of each entry (0 for exact zeros). Cached, so that
     # position_wavefunction_closed and node_count share one build. Column
     # j+k carries the 2F1 of degree m = k - odd over N = j - odd, as the
-    # ratio A[m]/D[m] of integers from one recurrence per row; magnitudes
-    # combine a log-gamma prefactor with its absolute value, and signs come
-    # from the integers, immune to underflow. Odd rows are antisymmetric
-    # with a zero center.
+    # ratio A[m]/D[m] of integers from one recurrence per row, with
+    # D[m] = a^m N!/(N-m)! for p = a/b; magnitudes combine a log-gamma
+    # prefactor, read from one table of log-gammas per row, with its
+    # absolute value, and signs come from the integers, immune to underflow.
+    # Odd rows are antisymmetric with a zero center.
     dim = 2 * j + 1
     values = np.zeros(dim)
     signs = [0] * dim
@@ -118,20 +119,23 @@ def _closed_row(j: int, p: float, level: int) -> tuple[np.ndarray, tuple[int, ..
     log_p, log_1p = math.log(p), math.log1p(-p)
     n, odd = level // 2, level % 2
     N = j - odd
-    lead = gammaln(N + 1)
+    lg = gammaln(np.arange(N + 2)).tolist()  # lg[i] = log((i-1)!)
+    lead = lg[N + 1]
     s0, mirror = (-1) ** n, (-1) ** odd
     if not odd:
-        values[j] = s0 * math.exp(0.5 * (lead - gammaln(n + 1) - gammaln(j - n + 1)
+        values[j] = s0 * math.exp(0.5 * (lead - lg[n + 1] - lg[j - n + 1]
                                          + n * log_p + (j - n) * log_1p))
         signs[j] = s0
-    A, D = _hyp2f1_rational(n, N, b, a)
+    A, D = _hyp2f1_rational(n, N, b, a), [1]
+    for m in range(N):
+        D.append(D[m] * a * (N - m))
+    lg_n, lg_Nn = lg[n + 1], lg[N - n + 1]
     for k in range(1, j + 1):
         m = k - odd
         if A[m] == 0:
             continue
         log_mag = lead + 0.5 * ((n + m) * log_p + (N - n - m) * log_1p
-                                - gammaln(n + 1) - gammaln(N - n + 1)
-                                - gammaln(m + 1) - gammaln(N - m + 1))
+                                - lg_n - lg_Nn - lg[m + 1] - lg[N - m + 1])
         sign = 1 if A[m] > 0 else -1
         value = s0 * sign * _INV_SQRT2 * math.exp(log_mag) * abs(A[m] / D[m])
         values[j + k], values[j - k] = value, mirror * value

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import tracemalloc
@@ -363,3 +364,28 @@ def test_hamiltonian_spectrum_needs_no_dense_matrix(capsys):
         tracemalloc.stop()
     assert code == 0 and out.splitlines()[-1] == "40000.5"
     assert peak < 16 * 2**20
+
+
+# sha256 of `fourier --method analytic` stdout. Each overlap is one
+# correctly rounded integer true division and one math.sqrt, and each matrix
+# entry one IEEE product of it by -i/2, 1/2 or -i/sqrt(2), so these bytes
+# should be the same on every IEEE platform; a change to them is a change to
+# the printed matrix.
+_ANALYTIC_FOURIER_SHA256 = {
+    (12, "0.3", "csv"): "3269e766eec7071e57c4b5e3abb1d46c75a2065a10948ec933d00c020da7f5e9",
+    (12, "0.3", "json"): "62bdcd33c772a009816e7fcf46456ce84da13546a402b6d07c06128100cdf212",
+    (25, "0.7", "csv"): "6397f7ec2987b44f3a663147db9f0a80ac06e86b5be992a9476520fdccc55b3a",
+    (25, "0.7", "json"): "0aedd417ef8d6ec4d5d3f5d7d4b660e0ab969cb1a755c1fa8daf4caa2f9d281e",
+    (40, "0.1", "csv"): "1a89e93a179f7e83c4155e75a8f1240689fa01228a226973fb18d398a4505bad",
+    (40, "0.1", "json"): "4639e56c6486e72fc9cd38c066660e86b3e04d3b57ab52867b465db2028dacc4",
+    (17, "0.5", "csv"): "47376b09bacded46a16590c1590b245e0b34a73d5ab332b3ffb7e34fbba8884b",
+    (17, "0.5", "json"): "9dc0d97e3d40b7f21b4df4a87ed4b6a1d96bed22b6a6913fdb8ea2ed6c42344f",
+}
+
+
+@pytest.mark.parametrize("j,p,fmt", sorted(_ANALYTIC_FOURIER_SHA256))
+def test_analytic_fourier_output_matches_golden_hash(capsys, j, p, fmt):
+    code, out, err = run(capsys, "fourier", "--j", str(j), "--p", p,
+                         "--method", "analytic", "--format", fmt)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == _ANALYTIC_FOURIER_SHA256[j, p, fmt]

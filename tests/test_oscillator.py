@@ -19,6 +19,7 @@ from superosc import (
     position_spectrum,
     sign_variant,
 )
+from superosc.oscillator import _row_phases
 from superosc.specfun import krawtchouk_table
 
 
@@ -93,6 +94,29 @@ def test_momentum_matrix_equals_generator_combination():
                      + math.sqrt(1.0 - p) * generator_matrix("F-", j)
                      + math.sqrt(p) * generator_matrix("G-", j))
             assert np.array_equal(momentum_matrix(ModelParams(j=j, p=p)), 1j * combo)
+
+
+@pytest.mark.parametrize("j", [0, 1, 2, 5, 40, 250])
+def test_momentum_matrix_bytes_equal_the_scaled_real_band(j):
+    # The dense real band with +t above and -t below the diagonal, times 1j:
+    # the same complex values, signed zeros of the real parts included.
+    for p in (0.1, 0.37, 0.5, 0.9):
+        params = ModelParams(j=j, p=p)
+        off = position_matrix(params).offdiag
+        band = np.zeros((params.dim, params.dim))
+        idx = np.arange(len(off))
+        band[idx, idx + 1] = off
+        band[idx + 1, idx] = -off
+        assert momentum_matrix(params).tobytes() == (1j * band).tobytes()
+
+
+def test_row_phases_bytes_equal_the_rotated_signs():
+    # -i(-1)^k on row 2k and (-1)^k on row 2k+1, formed by a complex product.
+    for j in (0, 1, 2, 7, 30):
+        r = np.arange(2 * j + 1)
+        phase = np.where(r // 2 % 2 == 0, 1.0, -1.0).astype(complex)
+        phase[r % 2 == 0] *= -1j
+        assert _row_phases(j).tobytes() == phase.tobytes()
 
 
 def test_momentum_is_hermitian_exactly():

@@ -1,6 +1,6 @@
 import math
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import numpy as np
 import pytest
@@ -333,19 +333,27 @@ def test_dual_hahn_table_signs_where_anchors_fail():
 
 
 def test_table_caches_are_bounded():
-    for cache in (specfun._krawtchouk_table, specfun._dual_hahn_table, fourier._S_table):
+    for cache in (specfun._krawtchouk_table, specfun._dual_hahn_table, fourier._S_table,
+                  specfun._ratio, wavefunctions._closed_row):
         maxsize = cache.cache_info().maxsize
         assert maxsize is not None and maxsize >= 6
 
 
 def _hyp2f1_fraction(k: int, l: int, j: int, z: Fraction) -> Fraction:
-    # Exact 2F1(-k, -l; -j; z) as its defining sum, term by term in
-    # Fractions: the reference for the integer recurrence.
-    total = Fraction(0)
-    for s in range(min(k, l) + 1):
-        t = Fraction(comb(k, s) * comb(l, s), comb(j, s)) * z**s
-        total += -t if s % 2 else t
-    return total
+    # Exact 2F1(-k, -l; -j; z) as its defining sum
+    #   sum_s (-1)^s C(k,s) C(l,s) / C(j,s) z^s,  s = 0..t = min(k, l),
+    # each term put over the common denominator j! Q^t for z = P/Q, where
+    # 1/C(j,s) = s! (j-s)! / j!: the reference for the integer recurrence.
+    P, Q = z.numerator, z.denominator
+    t = min(k, l)
+    total = sum((-1) ** s * comb(k, s) * comb(l, s) * factorial(s) * factorial(j - s)
+                * P**s * Q ** (t - s) for s in range(t + 1))
+    return Fraction(total, factorial(j) * Q**t)
+
+
+def _hyp2f1_scale(N: int, Q: int) -> list[int]:
+    # D[k] = Q^k N!/(N-k)!, the denominator of the recurrence's A[k].
+    return [Q**k * math.perm(N, k) for k in range(N + 1)]
 
 
 @pytest.mark.parametrize("p_num,p_den", [(1, 3), (1, 2), (7, 10)])
@@ -353,8 +361,8 @@ def test_hyp2f1_recurrence_matches_oracle(p_num, p_den):
     # K_k(x; p, N) = 2F1(-k, -x; -N; 1/p), so P/Q = p_den/p_num.
     for N in range(13):
         for x in range(N + 1):
-            A, D = specfun._hyp2f1_rational(x, N, p_den, p_num)
-            assert min(D) > 0
+            A, D = specfun._hyp2f1_rational(x, N, p_den, p_num), _hyp2f1_scale(N, p_num)
+            assert len(A) == N + 1
             for k in range(N + 1):
                 assert Fraction(A[k], D[k]) == krawtchouk_exact(k, x, p_num, p_den, N)
 
@@ -365,9 +373,11 @@ def test_hyp2f1_recurrence_matches_oracle(p_num, p_den):
 def test_hyp2f1_recurrence_matches_fraction_sum(P, Q, N):
     z = Fraction(P, Q)
     for x in range(N + 1):
-        A, D = specfun._hyp2f1_rational(x, N, P, Q)
+        A, D = specfun._hyp2f1_rational(x, N, P, Q), _hyp2f1_scale(N, Q)
         assert [Fraction(a, d) for a, d in zip(A, D)] == \
             [_hyp2f1_fraction(k, x, N, z) for k in range(N + 1)]
+        for top in range(N + 1):
+            assert specfun._hyp2f1_rational(x, N, P, Q, top) == A[:top + 1]
 
 
 def _S_fraction(k: int, l: int, j: int, p: float) -> float:
@@ -418,14 +428,39 @@ def _closed_row_fraction(j: int, p: float, level: int) -> tuple[np.ndarray, tupl
     return values, tuple(signs)
 
 
-@pytest.mark.parametrize("p", [0.1, 0.37, 0.7])
+@pytest.mark.parametrize("p", [0.1, 0.25, 0.37, 0.7])
 def test_closed_routes_bit_identical_to_fraction_sums(p):
-    for j in range(21):
-        expected = np.array([[_S_fraction(k, l, j, p) for l in range(j + 1)]
-                             for k in range(j + 1)])
+    # p = 0.25 puts exact zeros in the overlap tables; every p puts some in
+    # the closed rows.
+    for j in [*range(21), 30, 41, 60]:
+        # The reference sum is symmetric in k and l term by term.
+        expected = np.zeros((j + 1, j + 1))
+        for k in range(j + 1):
+            expected[k, :k + 1] = expected[:k + 1, k] = [_S_fraction(k, l, j, p)
+                                                         for l in range(k + 1)]
         assert fourier._S_table(p, j).tobytes() == expected.tobytes()
         for level in range(2 * j + 1):
             values, signs = wavefunctions._closed_row(j, p, level)
             ref_values, ref_signs = _closed_row_fraction(j, p, level)
             assert values.tobytes() == ref_values.tobytes()
             assert signs == ref_signs
+
+
+@pytest.mark.parametrize("p", [0.1, 0.25, 0.5, 0.7, 0.123456789])
+def test_single_overlap_equals_its_table_entry(p):
+    for j in (0, 1, 2, 7, 30, 41):
+        table = fourier._S_table(p, j)
+        single = np.array([[fourier.S_closed(k, l, p, j) for l in range(j + 1)]
+                           for k in range(j + 1)])
+        assert single.tobytes() == table.tobytes()
+
+
+def test_exact_zero_overlaps_are_positive_zeros():
+    # 1 - 2p < 0 flips the sign of odd j-k-l; an exact zero stays +0.0.
+    j, p = 200, 0.7
+    table = fourier._S_table(p, j)
+    for k, l in ((1, 168), (32, 199)):
+        assert _hyp2f1_fraction(k, l, j, 1 / (4 * Fraction(7, 10) * Fraction(3, 10))) == 0
+        for value in (table[k, l], table[l, k], fourier.S_closed(k, l, p, j),
+                      fourier.S_closed(l, k, p, j), _S_fraction(k, l, j, p)):
+            assert value == 0.0 and math.copysign(1.0, value) > 0

@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import pytest
+
 from superosc import suite, wavefunctions
 from superosc.report import VerificationReport
 
@@ -45,6 +47,22 @@ def test_memoized_exact_shift_identities_catch_one_wrong_value(monkeypatch):
     report = VerificationReport()
     suite._fixed_checks(report, 1e-10)
     assert not _check(report, name).passed
+
+
+# (n, x, p_num, p_den, N): a corner of the largest j, the degree-0 value at
+# N = 0 that only the k = 1 identities read, and a mid-grid value at p = 7/10.
+@pytest.mark.parametrize("where", [(8, 8, 1, 2, 8), (0, 0, 7, 10, 0), (3, 2, 7, 10, 5)])
+def test_integer_shift_identities_catch_one_wrong_value(monkeypatch, where):
+    krawtchouk_exact = suite.krawtchouk_exact
+
+    def perturbed(n, x, p_num, p_den, N):
+        value = krawtchouk_exact(n, x, p_num, p_den, N)
+        return value * (1 + Fraction(1, 10**30)) if (n, x, p_num, p_den, N) == where else value
+
+    monkeypatch.setattr(suite, "krawtchouk_exact", perturbed)
+    report = VerificationReport()
+    suite._fixed_checks(report, 1e-10)
+    assert _check(report, "shift identities exact (j <= 8)").residual >= 1.0
 
 
 def test_memoized_float_shift_identity_catches_one_wrong_value(monkeypatch):
