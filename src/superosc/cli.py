@@ -8,9 +8,9 @@ comparison table).
 Output is deterministic: identical flags produce byte-identical text.
 Floats are printed with 17 significant digits (round-trip safe); complex
 values become [re, im] pairs in JSON and paired columns in CSV. Exit codes:
-0 success, 1 verification failure, 2 usage error, 3 domain error. The
-environment variable SUPEROSC_TOL overrides the default tolerance; an
-explicit --tol flag wins over both.
+0 success, 1 verification failure, 2 usage error, 3 domain error. For
+``verify``, the environment variable SUPEROSC_TOL overrides the default
+check tolerance; an explicit --tol flag wins over both.
 """
 
 from __future__ import annotations
@@ -138,8 +138,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--j-max", type=int, default=10)
     verify.add_argument("--p-list", type=_p_values, default=DEFAULT_P_LIST)
     verify.add_argument("--tol", type=float, default=None)
-    verify.add_argument("--format", choices=("csv", "json"), default="csv")
-    verify.add_argument("--output", default=None)
+    _common_output_flags(verify)
 
     limits = sub.add_parser("limits", help="paraboson limit comparison table")
     limits.add_argument("--j", type=int, required=True)
@@ -154,7 +153,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _common_output_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
-    sub.add_argument("--tol", type=float, default=None)
     sub.add_argument("--output", default=None)
 
 

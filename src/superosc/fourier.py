@@ -21,7 +21,7 @@ import numpy as np
 
 from .oscillator import ModelParams, analytic_U
 from .report import VerificationReport
-from .specfun import _hyp2f1_rational, _ratio, krawtchouk_table
+from .specfun import _CACHE_SIZE, _hyp2f1_rational, _ratio, krawtchouk_table
 
 __all__ = [
     "FourierMatrix",
@@ -168,7 +168,7 @@ def S_closed(k: int, l: int, p: float, j: int) -> float:
     return _S_row(j, k, (l,), _S_parts(p, j))[0]
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _S_table(p: float, j: int) -> np.ndarray:
     # Row k of the lower triangle, mirrored into column k.
     parts = _S_parts(p, j)

@@ -126,24 +126,27 @@ def position_spectrum(j: int) -> np.ndarray:
     return np.sign(k) * np.sqrt(np.abs(k))
 
 
-def _fill_rows(p: float, j: int, lo: int, even: np.ndarray, odd: np.ndarray) -> None:
-    # Rows 2n of analytic_U into even and rows 2n+1 into odd, for
+def _fill_rows(even_table: np.ndarray | None, odd_table: np.ndarray | None, lo: int,
+               even: np.ndarray, odd: np.ndarray) -> None:
+    # Rows 2n of a U-layout matrix into even and rows 2n+1 into odd, for
     # n = lo, lo+1, ..., as many as each output holds; every entry is
-    # written. Each row reads column n of a Krawtchouk table as a view, and
-    # its sign (-1)^n comes from the absolute n.
+    # written. Even rows read the (j+1)x(j+1) table, odd rows the j x j one
+    # (a table may be None where its output is empty). Each row reads column
+    # n of its table as a view, and its sign (-1)^n comes from the absolute n.
+    j = even.shape[1] // 2
     first = (lo + 1) % 2  # position of the first odd n in the block
     if len(even):
-        # Row 2n at column j+k is (-1)^n K~_k(n)/sqrt(2); column j-k mirrors
+        # Row 2n at column j+k is (-1)^n T_k(n)/sqrt(2); column j-k mirrors
         # column j+k.
-        table = krawtchouk_table(p, j)[:, lo:lo + len(even)]
+        table = even_table[:, lo:lo + len(even)]
         even[:, j] = table[0]
         np.multiply(table[1:].T, _INV_SQRT2, out=even[:, j + 1:])
         even[first::2, j:] *= -1.0
         even[:, :j] = even[:, :j:-1]
     if len(odd):
-        # Row 2n+1 at column j+k is (-1)^n K~_{k-1}(n; p, j-1)/sqrt(2); column
-        # j-k holds its negative and the center column is zero.
-        table = krawtchouk_table(p, j - 1)[:, lo:lo + len(odd)]
+        # Row 2n+1 at column j+k is (-1)^n T_{k-1}(n)/sqrt(2); column j-k
+        # holds its negative and the center column is zero.
+        table = odd_table[:, lo:lo + len(odd)]
         np.multiply(table.T, _INV_SQRT2, out=odd[:, j + 1:])
         odd[first::2, j + 1:] *= -1.0
         odd[:, j] = 0.0
@@ -159,8 +162,10 @@ def analytic_U(params: ModelParams) -> np.ndarray:
     row 2n carries (-1)^n K~_k(n)/sqrt(2) at columns j-+k with the center
     column unhalved, and odd rows are antisymmetric with zero center.
     """
+    p, j = params.p, params.j
     mat = np.empty((params.dim, params.dim))
-    _fill_rows(params.p, params.j, 0, mat[0::2], mat[1::2])
+    _fill_rows(krawtchouk_table(p, j), krawtchouk_table(p, j - 1) if j else None, 0,
+               mat[0::2], mat[1::2])
     return mat
 
 
@@ -168,9 +173,9 @@ def _level_row(params: ModelParams, n: int) -> np.ndarray:
     # Row n of analytic_U alone, read from one column of one cached table.
     row = np.empty((1, params.dim))
     if n % 2:
-        _fill_rows(params.p, params.j, n // 2, row[:0], row)
+        _fill_rows(None, krawtchouk_table(params.p, params.j - 1), n // 2, row[:0], row)
     else:
-        _fill_rows(params.p, params.j, n // 2, row, row[:0])
+        _fill_rows(krawtchouk_table(params.p, params.j), None, n // 2, row, row[:0])
     return row[0]
 
 
@@ -212,39 +217,29 @@ def sign_variant(params: ModelParams) -> tuple[SymTridiagonal, np.ndarray]:
     return SymTridiagonal(off), d1[:, None] * analytic_U(params)
 
 
-# Truncation scale for the p -> 1 limit: entries of analytic_U at
-# p = 1 - _LIMIT_EPS are either O(1) or O(_LIMIT_EPS^(1/2)); the threshold
-# _LIMIT_EPS^(1/4) = 1e-3 separates the two groups by ~9 decades.
-_LIMIT_EPS = 1e-12
-
-
 def limit_U(j: int, side: str) -> np.ndarray:
-    """Limit of the position eigenvector matrix as p reaches an endpoint.
+    """Exact limit of the position eigenvector matrix as p reaches an endpoint.
 
-    ``side="toward-zero"``: the exact limit matrix. Row 0 has a single 1 at
-    the center column; row 2n has +1/sqrt(2) at columns j-+n; row 2n+1 has
-    -1/sqrt(2) at column j-(n+1) and +1/sqrt(2) at column j+(n+1).
+    Both sides are :func:`analytic_U`'s row layout filled from the exact
+    endpoint Krawtchouk tables: diag((-1)^x) as p -> 0 and the anti-identity
+    as p -> 1.
 
-    ``side="toward-one"``: evaluated at p = 1 - 1e-12 with entries below
-    1e-3 (the quarter power of the offset) rounded to zero; the surviving
-    entries are stable to ~1e-11 and the result is orthogonal.
+    ``side="toward-zero"``: row 0 has a single 1 at the center column; row
+    2n has +1/sqrt(2) at columns j-+n; row 2n+1 has -1/sqrt(2) at column
+    j-(n+1) and +1/sqrt(2) at column j+(n+1).
+
+    ``side="toward-one"``: the reflection of the toward-zero limit. Since
+    M_q(1-p) = R M_q(p) R for the anti-identity R, it equals R L diag((-1)^c),
+    L the toward-zero limit and c the column index.
     """
     if j < 0:
         raise ValueError(f"need j >= 0, got j={j}")
-    dim = 2 * j + 1
     if side == "toward-zero":
-        mat = np.zeros((dim, dim))
-        mat[0, j] = 1.0
-        for n in range(1, j + 1):
-            mat[2 * n, j - n] = mat[2 * n, j + n] = _INV_SQRT2
-        for n in range(j):
-            mat[2 * n + 1, j - (n + 1)] = -_INV_SQRT2
-            mat[2 * n + 1, j + (n + 1)] = _INV_SQRT2
-        return mat
-    if side == "toward-one":
-        if j == 0:
-            return np.array([[1.0]])
-        mat = analytic_U(ModelParams(j, 1.0 - _LIMIT_EPS))
-        mat[np.abs(mat) < _LIMIT_EPS**0.25] = 0.0
-        return mat
-    raise ValueError(f"side must be 'toward-zero' or 'toward-one', got {side!r}")
+        tables = [np.diag((-1.0) ** np.arange(size)) for size in (j + 1, j)]
+    elif side == "toward-one":
+        tables = [np.eye(size)[::-1] for size in (j + 1, j)]
+    else:
+        raise ValueError(f"side must be 'toward-zero' or 'toward-one', got {side!r}")
+    mat = np.empty((2 * j + 1, 2 * j + 1))
+    _fill_rows(*tables, 0, mat[0::2], mat[1::2])
+    return mat

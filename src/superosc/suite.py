@@ -159,6 +159,9 @@ def _fixed_checks(report: VerificationReport, tol: float) -> None:
                    float(np.max(np.abs(toward_zero.T @ toward_zero - np.eye(2 * j + 1)))),
                    1e-12)
         toward_one = limit_U(j, "toward-one")
+        report.add(f"j={j} p->1 limit convergence (p=1-1e-12)",
+                   float(np.max(np.abs(analytic_U(ModelParams(j, 1 - 1e-12)) - toward_one))),
+                   1e-5)
         report.add(f"j={j} p->1 limit orthogonal",
                    float(np.max(np.abs(toward_one.T @ toward_one - np.eye(2 * j + 1)))),
                    1e-9)

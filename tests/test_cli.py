@@ -193,6 +193,17 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys, "wavefunction", "--j", "2", "--p", "0.5", "--n", "a,b")[0] == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("fourier", "--j", "2", "--p", "0.5"),
+    ("spectrum", "--j", "2"),
+    ("wavefunction", "--j", "2", "--p", "0.5"),
+    ("limits", "--j", "2", "--p", "0.5", "--alpha", "10"),
+])
+def test_tol_is_a_verify_only_flag(capsys, argv):
+    assert run(capsys, *argv)[0] == 0
+    assert run(capsys, *argv, "--tol", "1e-3")[0] == 2
+
+
 def test_domain_errors_exit_3(capsys):
     code, _, err = run(capsys, "wavefunction", "--j", "2", "--p", "0.5", "--n", "9")
     assert code == 3 and "error:" in err

@@ -19,6 +19,7 @@ from superosc import (
     position_spectrum,
     sign_variant,
 )
+from superosc import oscillator
 from superosc.oscillator import _row_phases
 from superosc.specfun import krawtchouk_table
 
@@ -285,6 +286,48 @@ def test_limit_toward_one_orthogonal():
     for j in range(7):
         u1 = limit_U(j, "toward-one")
         assert np.abs(u1.T @ u1 - np.eye(2 * j + 1)).max() < 1e-9
+
+
+def test_limit_toward_zero_matches_its_documented_entries():
+    s = 1 / math.sqrt(2)
+    for j in range(41):
+        expected = np.zeros((2 * j + 1, 2 * j + 1))
+        expected[0, j] = 1.0
+        for n in range(1, j + 1):
+            expected[2 * n, j - n] = expected[2 * n, j + n] = s
+        for n in range(j):
+            expected[2 * n + 1, j - (n + 1)] = -s
+            expected[2 * n + 1, j + (n + 1)] = s
+        assert np.array_equal(limit_U(j, "toward-zero"), expected)
+
+
+def test_limit_toward_one_is_the_reflected_toward_zero_limit():
+    # M_q(1-p) = R M_q(p) R for the anti-identity R.
+    for j in range(41):
+        signs = (-1.0) ** np.arange(2 * j + 1)
+        assert np.array_equal(limit_U(j, "toward-one"),
+                              limit_U(j, "toward-zero")[::-1] * signs)
+
+
+def test_limits_build_no_table(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an endpoint limit is exact: nothing to build")
+
+    monkeypatch.setattr(oscillator, "analytic_U", refuse)
+    monkeypatch.setattr(oscillator, "krawtchouk_table", refuse)
+    for j in range(7):
+        for side in ("toward-zero", "toward-one"):
+            u = limit_U(j, side)
+            assert np.abs(u.T @ u - np.eye(2 * j + 1)).max() < 1e-15
+
+
+@pytest.mark.parametrize("j", [1, 2, 7, 40, 300])
+@pytest.mark.parametrize("p", [0.1, 0.3, 0.37, 1e-6])
+def test_analytic_U_reflects_under_p_to_one_minus_p(j, p):
+    signs = (-1.0) ** np.arange(2 * j + 1)
+    u = analytic_U(ModelParams(j, p))
+    reflected = analytic_U(ModelParams(j, 1 - p))
+    assert np.abs(reflected - u[::-1] * signs).max() <= 1e-11
 
 
 def test_limit_rejects_unknown_side():

@@ -337,6 +337,7 @@ def test_table_caches_are_bounded():
                   specfun._ratio, wavefunctions._closed_row):
         maxsize = cache.cache_info().maxsize
         assert maxsize is not None and maxsize >= 6
+        assert maxsize == specfun._CACHE_SIZE
 
 
 def _hyp2f1_fraction(k: int, l: int, j: int, z: Fraction) -> Fraction:

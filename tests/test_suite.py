@@ -1,13 +1,15 @@
+import hashlib
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from superosc import suite, wavefunctions
 from superosc.report import VerificationReport
 
 
-def _limit_checks(report):
-    return [c for c in report.checks if "p->0 limit convergence" in c.name]
+def _limit_checks(report, endpoint="p->0"):
+    return [c for c in report.checks if f"{endpoint} limit convergence" in c.name]
 
 
 def test_p_to_zero_convergence_check_passes():
@@ -24,6 +26,46 @@ def test_p_to_zero_convergence_check_catches_a_flipped_limit(monkeypatch):
     suite._fixed_checks(report, 1e-10)
     # j = 0 included: the single entry 1 becomes -1.
     assert not any(c.passed for c in _limit_checks(report))
+
+
+def test_p_to_one_convergence_check_passes():
+    report = VerificationReport()
+    suite._fixed_checks(report, 1e-10)
+    checks = _limit_checks(report, "p->1")
+    assert len(checks) == 7 and all(c.passed for c in checks)
+
+
+# A sign-flipped limit, and one without its (-1)^c column signs: the latter
+# only differs at j >= 1, since the single column of j = 0 has sign +1.
+@pytest.mark.parametrize("wrong, failing", [
+    (lambda u: -u, range(7)),
+    (lambda u: u * (-1.0) ** np.arange(len(u)), range(1, 7)),
+])
+def test_p_to_one_convergence_check_catches_a_wrong_limit(monkeypatch, wrong, failing):
+    limit_U = suite.limit_U
+    monkeypatch.setattr(suite, "limit_U", lambda j, side: (
+        wrong(limit_U(j, side)) if side == "toward-one" else limit_U(j, side)))
+    report = VerificationReport()
+    suite._fixed_checks(report, 1e-10)
+    assert [c.name for c in _limit_checks(report, "p->1") if not c.passed] == [
+        f"j={j} p->1 limit convergence (p=1-1e-12)" for j in failing]
+    assert all(c.passed for c in _limit_checks(report))
+
+
+# run_suite(2, (0.5,)): a check added, dropped, renamed, moved or given a
+# new tolerance changes these; update them together with the suite.
+PINNED_CHECK_COUNT = 110
+PINNED_CHECK_SHA256 = "d3eca60756525d5e8533f03824ca586233c758b2ceb22004234c104b0c2a2c25"
+
+
+def test_verify_check_list_is_pinned():
+    # Names, order and tolerances of every check, but not the residuals, which
+    # move in their last digits with any reordering of floating-point work.
+    report = suite.run_suite(2, (0.5,))
+    listing = "\n".join(f"{c.name}|{c.tolerance!r}" for c in report.checks)
+    assert report.passed
+    assert len(report.checks) == PINNED_CHECK_COUNT
+    assert hashlib.sha256(listing.encode()).hexdigest() == PINNED_CHECK_SHA256
 
 
 def _check(report, name):
