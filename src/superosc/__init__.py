@@ -53,6 +53,7 @@ from .specfun import (
     krawtchouk,
     krawtchouk_norm,
     krawtchouk_normalized,
+    krawtchouk_shift_table,
     krawtchouk_table,
     krawtchouk_weight,
     laguerre,
@@ -104,6 +105,7 @@ __all__ = [
     "krawtchouk_exact",
     "krawtchouk_norm",
     "krawtchouk_normalized",
+    "krawtchouk_shift_table",
     "krawtchouk_table",
     "krawtchouk_weight",
     "laguerre",

@@ -6,7 +6,10 @@ and sqrt((1-p)k); the momentum operator carries the same magnitudes with
 phases +-i. Both share the p-independent spectrum -sqrt(j) .. sqrt(j) of
 square roots of integers. The analytic eigenvector matrices are assembled
 from orthonormal Krawtchouk functions with families (p, j) on even rows
-and (p, j-1) on odd rows.
+and (p, j-1) on odd rows. Only the (p, j) table is eigensolved: the
+position operator is odd, so its odd x even block maps the even rows of an
+eigenvector onto its odd rows, and the (p, j-1) functions follow from the
+(p, j) eigenvectors by the Krawtchouk forward shift.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import krawtchouk_table
+from .specfun import krawtchouk_shift_table, krawtchouk_table
 
 __all__ = [
     "ModelParams",
@@ -158,13 +161,18 @@ def analytic_U(params: ModelParams) -> np.ndarray:
 
     Column c holds the eigenvector for the c-th ascending eigenvalue of
     :func:`position_spectrum`. Even rows 2n are built from the orthonormal
-    Krawtchouk family with parameters (p, j), odd rows 2n+1 from (p, j-1);
-    row 2n carries (-1)^n K~_k(n)/sqrt(2) at columns j-+k with the center
-    column unhalved, and odd rows are antisymmetric with zero center.
+    Krawtchouk family with parameters (p, j), odd rows 2n+1 from (p, j-1).
+    Only the (p, j) table is eigensolved. The odd rows follow from it
+    through M_q's odd x even block: M_q U = U Lambda gives, at lambda_c != 0,
+    U[2n+1, c] = (sqrt(p(j-n)) U[2n, c] + sqrt((1-p)(n+1)) U[2n+2, c]) / lambda_c,
+    which :func:`~superosc.specfun.krawtchouk_shift_table` evaluates on the
+    (p, j) eigenvectors. Row 2n carries (-1)^n K~_k(n)/sqrt(2) at columns
+    j-+k with the center column unhalved, and odd rows are antisymmetric
+    with zero center.
     """
     p, j = params.p, params.j
     mat = np.empty((params.dim, params.dim))
-    _fill_rows(krawtchouk_table(p, j), krawtchouk_table(p, j - 1) if j else None, 0,
+    _fill_rows(krawtchouk_table(p, j), krawtchouk_shift_table(p, j) if j else None, 0,
                mat[0::2], mat[1::2])
     return mat
 
@@ -173,7 +181,7 @@ def _level_row(params: ModelParams, n: int) -> np.ndarray:
     # Row n of analytic_U alone, read from one column of one cached table.
     row = np.empty((1, params.dim))
     if n % 2:
-        _fill_rows(None, krawtchouk_table(params.p, params.j - 1), n // 2, row[:0], row)
+        _fill_rows(None, krawtchouk_shift_table(params.p, params.j), n // 2, row[:0], row)
     else:
         _fill_rows(krawtchouk_table(params.p, params.j), None, n // 2, row, row[:0])
     return row[0]

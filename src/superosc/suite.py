@@ -40,6 +40,7 @@ from .specfun import (
     dual_hahn_table,
     krawtchouk,
     krawtchouk_normalized,
+    krawtchouk_shift_table,
     krawtchouk_table,
 )
 from .wavefunctions import node_count, paraboson_limit_table, position_wavefunction_closed
@@ -109,6 +110,11 @@ def _sweep_checks(report: VerificationReport, j: int, p: float, tol: float) -> N
     table = krawtchouk_table(p, j)
     report.add(f"{label} Krawtchouk table orthogonal",
                float(np.max(np.abs(table @ table.T - np.eye(j + 1)))), tol)
+    # U's odd rows read the forward shift of the (p, j) eigenvectors; the
+    # eigensolved (p, j-1) table is the independent route.
+    report.add(f"{label} odd-row table: forward shift vs eigensolved (p, j-1)",
+               float(np.max(np.abs(krawtchouk_shift_table(p, j)
+                                   - krawtchouk_table(p, j - 1)))), tol)
 
     report.add(f"{label} wave function normalization",
                float(np.max(np.abs(np.sum(u * u, axis=1) - 1.0))), 1e-12)
@@ -164,7 +170,7 @@ def _fixed_checks(report: VerificationReport, tol: float) -> None:
                    1e-5)
         report.add(f"j={j} p->1 limit orthogonal",
                    float(np.max(np.abs(toward_one.T @ toward_one - np.eye(2 * j + 1)))),
-                   1e-9)
+                   1e-12)
 
     # Each identity reads most values several times: evaluate each once.
     # A memo lives for one p, the values it can share. Each value is kept as

@@ -80,8 +80,10 @@ def position_wavefunction(params: ModelParams, n: int) -> WaveTable:
 
     The row is read from one column of one cached Krawtchouk table, (p, j)
     for even n and (p, j-1) for odd n, in O(j) once that table is cached;
-    a cold call builds the table, O(j^2) memory. The values are those of
-    ``analytic_U(params)[n]``, bit for bit.
+    a cold call builds the table, O(j^2) memory. The (p, j-1) table is
+    derived from the (p, j) one, so a cold row of either parity runs the
+    one (p, j) eigensolve. The values are those of ``analytic_U(params)[n]``,
+    bit for bit.
     """
     _check_level(params, n)
     return WaveTable("position", params.j, params.p, n,

@@ -19,9 +19,9 @@ from superosc import (
     position_spectrum,
     sign_variant,
 )
-from superosc import oscillator
+from superosc import oscillator, specfun
 from superosc.oscillator import _row_phases
-from superosc.specfun import krawtchouk_table
+from superosc.specfun import krawtchouk_shift_table, krawtchouk_table
 
 
 def test_params_validation():
@@ -153,7 +153,8 @@ def test_position_spectrum_values():
 
 def _analytic_U_by_columns(j: int, p: float) -> np.ndarray:
     # Column-by-column assembly from the Krawtchouk tables, the reference
-    # for the sliced assembly in analytic_U.
+    # for the sliced assembly in analytic_U. Odd rows read the (p, j-1)
+    # table that analytic_U reads, the forward shift of the (p, j) one.
     dim = 2 * j + 1
     mat = np.zeros((dim, dim))
     table_j = krawtchouk_table(p, j)
@@ -163,7 +164,7 @@ def _analytic_U_by_columns(j: int, p: float) -> np.ndarray:
     for k in range(1, j + 1):
         mat[2 * even, j - k] = mat[2 * even, j + k] = sign_even / math.sqrt(2.0) * table_j[k, even]
     if j >= 1:
-        table_j1 = krawtchouk_table(p, j - 1)
+        table_j1 = krawtchouk_shift_table(p, j)
         odd = np.arange(j)
         sign_odd = np.where(odd % 2 == 0, 1.0, -1.0)
         for k in range(1, j + 1):
@@ -307,6 +308,45 @@ def test_limit_toward_one_is_the_reflected_toward_zero_limit():
         signs = (-1.0) ** np.arange(2 * j + 1)
         assert np.array_equal(limit_U(j, "toward-one"),
                               limit_U(j, "toward-zero")[::-1] * signs)
+
+
+def _count_eigensolves(monkeypatch) -> list:
+    # Empties the Krawtchouk caches and counts the eigensolves after that.
+    calls = []
+    solve = specfun.eigh_tridiagonal
+
+    def counted(diag, off):
+        calls.append(len(diag))
+        return solve(diag, off)
+
+    monkeypatch.setattr(specfun, "eigh_tridiagonal", counted)
+    specfun._krawtchouk_table.cache_clear()
+    specfun._krawtchouk_shift_table.cache_clear()
+    return calls
+
+
+@pytest.mark.parametrize("j", [1, 2, 9, 60])
+def test_analytic_U_runs_one_eigensolve_per_model(monkeypatch, j):
+    # Odd rows come from the (p, j) eigenvectors: a cold model solves the
+    # (j+1)x(j+1) Jacobi matrix once, and a warm one solves nothing.
+    calls = _count_eigensolves(monkeypatch)
+    params = ModelParams(j, 0.3)
+    cold = analytic_U(params)
+    assert calls == [j + 1]
+    assert np.array_equal(analytic_U(params), cold)
+    assert calls == [j + 1]
+
+
+def test_cold_odd_row_builds_the_even_table(monkeypatch):
+    calls = _count_eigensolves(monkeypatch)
+    params = ModelParams(9, 0.3)
+    odd = oscillator._level_row(params, 5)
+    assert calls == [10]
+    even = oscillator._level_row(params, 4)
+    assert calls == [10]
+    u = analytic_U(params)
+    assert np.array_equal(odd, u[5]) and np.array_equal(even, u[4])
+    assert calls == [10]
 
 
 def test_limits_build_no_table(monkeypatch):

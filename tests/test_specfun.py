@@ -18,6 +18,7 @@ from superosc.specfun import (
     krawtchouk,
     krawtchouk_norm,
     krawtchouk_normalized,
+    krawtchouk_shift_table,
     krawtchouk_table,
     krawtchouk_weight,
     laguerre,
@@ -146,6 +147,43 @@ def test_krawtchouk_table_row_zero_positive():
     # row 0 is sqrt(w(x)), strictly positive
     table = krawtchouk_table(0.6, 15)
     assert (table[0] > 0).all()
+
+
+_SHIFT_CASES = [(N, p) for N in (1, 2, 6, 30, 150, 400, 700)
+                for p in (1e-12, 1e-6, 1e-3, 0.1, 0.37, 0.5, 0.9, 1 - 1e-6, 1 - 1e-12)]
+_SHIFT_CASES += [(2000, 1e-6), (2000, 0.37)]
+
+
+@pytest.mark.parametrize("N, p", _SHIFT_CASES)
+def test_shift_table_matches_the_eigensolved_table(N, p):
+    derived = krawtchouk_shift_table(p, N)
+    solved = krawtchouk_table(p, N - 1)
+    assert derived.shape == solved.shape
+    assert np.abs(derived - solved).max() <= 1e-12
+    columns = np.arange(N)
+    peak = np.argmax(np.abs(solved), axis=0)
+    assert np.array_equal(np.sign(derived[peak, columns]), np.sign(solved[peak, columns]))
+
+
+@pytest.mark.parametrize("N, p", _SHIFT_CASES)
+def test_shift_table_columns_have_unit_norm(N, p):
+    # Dual orthogonality: sum_k K~_k(x)^2 = 1 for each x. The bound is the
+    # rounding of numpy's pairwise sum of squares; the unscaled forward
+    # shift carries the eigensolver's error on top and misses it.
+    derived = krawtchouk_shift_table(p, N)
+    bound = 2 * np.finfo(float).eps * math.log2(N + 1)
+    assert np.abs(np.sum(derived * derived, axis=0) - 1.0).max() <= bound
+
+
+def test_shift_table_validates_and_is_readonly():
+    for p, N in ((0.5, 0), (0.0, 3), (1.0, 3)):
+        with pytest.raises(ValueError):
+            krawtchouk_shift_table(p, N)
+    table = krawtchouk_shift_table(0.25, 12)
+    assert table.shape == (12, 12)
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 0.0
 
 
 def test_dual_hahn_degree_zero_and_origin():
@@ -333,8 +371,9 @@ def test_dual_hahn_table_signs_where_anchors_fail():
 
 
 def test_table_caches_are_bounded():
-    for cache in (specfun._krawtchouk_table, specfun._dual_hahn_table, fourier._S_table,
-                  specfun._ratio, wavefunctions._closed_row):
+    for cache in (specfun._krawtchouk_table, specfun._krawtchouk_shift_table,
+                  specfun._dual_hahn_table, fourier._S_table, specfun._ratio,
+                  wavefunctions._closed_row):
         maxsize = cache.cache_info().maxsize
         assert maxsize is not None and maxsize >= 6
         assert maxsize == specfun._CACHE_SIZE

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from superosc import suite, wavefunctions
+from superosc import specfun, suite, wavefunctions
 from superosc.report import VerificationReport
 
 
@@ -54,8 +54,8 @@ def test_p_to_one_convergence_check_catches_a_wrong_limit(monkeypatch, wrong, fa
 
 # run_suite(2, (0.5,)): a check added, dropped, renamed, moved or given a
 # new tolerance changes these; update them together with the suite.
-PINNED_CHECK_COUNT = 110
-PINNED_CHECK_SHA256 = "d3eca60756525d5e8533f03824ca586233c758b2ceb22004234c104b0c2a2c25"
+PINNED_CHECK_COUNT = 112
+PINNED_CHECK_SHA256 = "ca80622bf863a860c990d7f8abff472f714b82f5a958706d832eb33d1802b7da"
 
 
 def test_verify_check_list_is_pinned():
@@ -118,6 +118,25 @@ def test_memoized_float_shift_identity_catches_one_wrong_value(monkeypatch):
     report = VerificationReport()
     suite._fixed_checks(report, 1e-10)
     assert not _check(report, "forward shift identity, rounding-scaled (j <= 30)").passed
+
+
+@pytest.mark.parametrize("wrong", [
+    lambda t: -t,
+    lambda t: t * np.where(np.arange(len(t)) == 1, -1.0, 1.0),  # column x = 1 only
+])
+def test_odd_row_table_check_catches_a_sign_flipped_builder(monkeypatch, wrong):
+    name = "j=4 p=0.3 odd-row table: forward shift vs eigensolved (p, j-1)"
+    report = VerificationReport()
+    suite._sweep_checks(report, 4, 0.3, 1e-10)
+    assert _check(report, name).passed
+    shift_table = specfun._krawtchouk_shift_table
+    monkeypatch.setattr(specfun, "_krawtchouk_shift_table",
+                        lambda p, N: wrong(shift_table(p, N)))
+    report = VerificationReport()
+    suite._sweep_checks(report, 4, 0.3, 1e-10)
+    assert not _check(report, name).passed
+    # analytic_U reads the same builder, so its eigen-equation fails as well.
+    assert not _check(report, "j=4 p=0.3 position eigen-equation").passed
 
 
 def test_cached_closed_rows_still_fail_node_counts(monkeypatch):
