@@ -21,7 +21,13 @@ from .fourier import (
     fourier_eigensystem_report,
     fourier_spectral,
 )
-from .oracle import EigenResult, hermitian_tridiag_eigen, krawtchouk_exact, tridiag_eigen
+from .oracle import (
+    EigenResult,
+    hermitian_tridiag_eigen,
+    hermitian_tridiag_eigenvalues,
+    krawtchouk_exact,
+    tridiag_eigen,
+)
 from .oscillator import (
     ModelParams,
     SymTridiagonal,
@@ -100,6 +106,7 @@ __all__ = [
     "generator_parity",
     "hamiltonian_matrix",
     "hermitian_tridiag_eigen",
+    "hermitian_tridiag_eigenvalues",
     "hyp2f1_terminating",
     "krawtchouk",
     "krawtchouk_exact",

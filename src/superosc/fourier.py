@@ -3,9 +3,13 @@
 The transform F maps position wave vectors to momentum wave vectors and is
 built by two independent routes: spectrally as U^T J U from the position
 eigenvector matrix and the diagonal fourth-root-of-unity matrix J, and
-entry-wise from closed-form overlap sums S(k, l; p, j). F is symmetric,
-unitary, satisfies F^4 = I, and its eigenvalue multiplicities follow a
-parity rule in j.
+entry-wise from the overlaps S(k, l; p, j). The overlaps are themselves
+normalized Krawtchouk functions at w = 4p(1-p), so the entry-wise route
+reads Krawtchouk tables at w where the spectral route reads them at p.
+The closed 2F1 form of each overlap is also evaluated in exact integers
+(:func:`S_closed`), the eigensolver-free reference for both. F is
+symmetric, unitary, satisfies F^4 = I, and its eigenvalue multiplicities
+follow a parity rule in j.
 """
 
 from __future__ import annotations
@@ -21,7 +25,14 @@ import numpy as np
 
 from .oscillator import ModelParams, analytic_U
 from .report import VerificationReport
-from .specfun import _CACHE_SIZE, _hyp2f1_rational, _ratio, krawtchouk_table
+from .specfun import (
+    _CACHE_SIZE,
+    _hyp2f1_rational,
+    _krawtchouk_shift_table,
+    _krawtchouk_table,
+    _ratio,
+    krawtchouk_table,
+)
 
 __all__ = [
     "FourierMatrix",
@@ -154,8 +165,10 @@ def S_closed(k: int, l: int, p: float, j: int) -> float:
     symmetric), the square is the integer ratio
     C(j,k) Q^(k-l) e^(2(j-k-l)) A^2 / (b^(2j) l! j!/(j-l)!), where
     A = Q^l j!/(j-l)! 2F1(...) comes from a recurrence stopped at degree l;
-    the result is bit for bit the table entry :func:`fourier_analytic`
-    uses. At p = 1/2 the overlap is the anti-identity
+    the result is correctly rounded from that exact ratio and then square
+    rooted. It is the reference :func:`fourier_analytic`'s float overlaps
+    are checked against, and bit for bit the entry of the exact table that
+    ``verify`` compares them with. At p = 1/2 the overlap is the anti-identity
     S(k, l; 1/2, j) = delta(k+l, j) (Chu-Vandermonde on k + l = j, the
     symmetry K~_{j-k}(n) = (-1)^n K~_k(n) and orthogonality elsewhere), which
     also covers the removable singularity of the closed form at k + l > j.
@@ -170,7 +183,9 @@ def S_closed(k: int, l: int, p: float, j: int) -> float:
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _S_table(p: float, j: int) -> np.ndarray:
-    # Row k of the lower triangle, mirrored into column k.
+    # The exact overlaps S(., .; p, j): the eigensolver-free reference that
+    # verify and the tests hold fourier_analytic's overlaps against. Row k
+    # of the lower triangle, mirrored into column k.
     parts = _S_parts(p, j)
     table = np.empty((j + 1, j + 1))
     for k in range(j + 1):
@@ -179,18 +194,41 @@ def _S_table(p: float, j: int) -> np.ndarray:
     return table
 
 
-def fourier_analytic(params: ModelParams) -> FourierMatrix:
-    """Transform assembled entry-wise from the closed overlap forms.
+def _sigma(table: np.ndarray, p: float) -> np.ndarray:
+    # The degree-N table times sigma(k, l), the sign of (1-2p)^(N-k-l):
+    # -1 where N-k-l is odd and p > 1/2. As (-1)^(N-k-l) = (-1)^(N-k) (-1)^l,
+    # that is one outer product of alternating signs.
+    if p <= 0.5:
+        return table
+    alt = np.where(np.arange(len(table)) % 2 == 0, 1.0, -1.0)
+    return table * np.multiply.outer(alt[::-1], alt)
 
-    With s = S(.,.; p, j) and s' = S(.,.; p, j-1):
-    the center entry is -i s(0,0); the center row and column carry
-    -(i/sqrt(2)) s(k,0); and for k, l >= 1 the interior blocks are
-    -(i/2) s(k,l) +- (1/2) s'(k-1,l-1), the sign + on the parity-preserving
-    block (both labels j-+) and - on the parity-crossing one.
-    """
-    j, p = params.j, params.p
-    s_j = _S_table(float(p), j)
-    mat = np.zeros((params.dim, params.dim), dtype=complex)
+
+def _S_krawtchouk(p: float, j: int) -> tuple[np.ndarray, np.ndarray]:
+    # S(., .; p, j) and S(., .; p, j-1) from Krawtchouk tables at
+    # w = 4p(1-p): with 1 - w = (1-2p)^2, the prefactor of the closed form
+    # is the norm factor sqrt(w(l)/h(k)) of the binomial weight at w, and
+    # 2F1(-k, -l; -j; 1/w) = K_k(l; w, j), so S(k, l; p, j) = sigma K~_k(l; w, j).
+    # The (w, j-1) table is the forward shift of the (w, j) one: one
+    # eigensolve in all. The pair (w, q) = (4p(1-p), (1-2p)^2) goes to the
+    # builder as formed, since 1.0 - w would lose up to 1.7e-8 near p = 1/2.
+    # At p = 1/2 (q = 0) the family is at its endpoint w = 1, the
+    # anti-identity.
+    q = (1.0 - 2.0 * p) ** 2
+    if q == 0.0:
+        return np.eye(j + 1)[::-1], np.eye(j)[::-1]
+    w = 4.0 * p * (1.0 - p)
+    odd = _krawtchouk_shift_table(w, q, j) if j else np.empty((0, 0))
+    tables = _krawtchouk_table(w, q, j), odd
+    # S is symmetric; the tables are so only to the eigensolver's error,
+    # whose antisymmetric part the average removes.
+    return tuple(_sigma(0.5 * (t + t.T), p) for t in tables)
+
+
+def _fourier_blocks(s_j: np.ndarray, s_odd: np.ndarray) -> np.ndarray:
+    # F from the overlap tables s = S(., .; p, j) and s' = S(., .; p, j-1).
+    j = len(s_j) - 1
+    mat = np.zeros((2 * j + 1, 2 * j + 1), dtype=complex)
     mat[j, j] = -1j * s_j[0, 0]
     if j >= 1:
         # Row k-1 of each block is label k = 1..j; the slices j-1::-1 run
@@ -199,10 +237,30 @@ def fourier_analytic(params: ModelParams) -> FourierMatrix:
         edge = -1j * _INV_SQRT2 * s_j[1:, 0]
         mat[up, j] = mat[down, j] = mat[j, up] = mat[j, down] = edge
         a = -0.5j * s_j[1:, 1:]
-        b = 0.5 * _S_table(float(p), j - 1)
+        b = 0.5 * s_odd
         mat[down, down] = mat[up, up] = a + b
         mat[down, up] = mat[up, down] = a - b
-    return FourierMatrix(mat, j)
+    return mat
+
+
+def fourier_analytic(params: ModelParams) -> FourierMatrix:
+    """Transform assembled entry-wise from the overlaps S(k, l; p, j).
+
+    With s = S(.,.; p, j) and s' = S(.,.; p, j-1):
+    the center entry is -i s(0,0); the center row and column carry
+    -(i/sqrt(2)) s(k,0); and for k, l >= 1 the interior blocks are
+    -(i/2) s(k,l) +- (1/2) s'(k-1,l-1), the sign + on the parity-preserving
+    block (both labels j-+) and - on the parity-crossing one.
+
+    The overlaps are normalized Krawtchouk functions at w = 4p(1-p):
+    S(k, l; p, j) = sigma K~_k(l; w, j), sigma = -1 exactly when j-k-l is
+    odd and p > 1/2. Both tables come from one (w, j) eigensolve and its
+    forward shift, so the cost is that of :func:`analytic_U`, with no
+    big integers; at p = 1/2 they are the exact anti-identity. The entries
+    agree with the exact overlaps of :func:`S_closed` to about 1e-14.
+    """
+    j, p = params.j, float(params.p)
+    return FourierMatrix(_fourier_blocks(*_S_krawtchouk(p, j)), j)
 
 
 def expected_multiplicities(j: int) -> EigenvalueMultiplicity:

@@ -19,6 +19,7 @@ __all__ = [
     "EigenResult",
     "tridiag_eigen",
     "hermitian_tridiag_eigen",
+    "hermitian_tridiag_eigenvalues",
     "krawtchouk_exact",
 ]
 
@@ -71,31 +72,14 @@ def _sweep_product(rotations: list, alternating: np.ndarray) -> np.ndarray:
     return q
 
 
-def tridiag_eigen(offdiag, diag, tol: float = 1e-9) -> EigenResult:
-    """Diagonalize a symmetric tridiagonal matrix by implicit-shift QL.
+def _ql(offdiag, diag, vectors: bool) -> tuple[np.ndarray, np.ndarray | None, int]:
+    """Implicit-shift QL on a symmetric tridiagonal matrix.
 
-    Plane rotations with Wilkinson shifts; each sweep's rotations are
-    multiplied into the eigenvector matrix as one block product. A sweep
-    whose rotation inputs both underflow to zero stops there, as the
-    matrix has split. Deterministic for fixed input. Eigenvalues are
-    returned in ascending order (stable sort) with eigenvector signs left
-    as the iteration produces them, for the caller to align.
-
-    Parameters
-    ----------
-    offdiag, diag : array_like
-        Off-diagonal (length m-1) and diagonal (length m) of the matrix.
-    tol : float
-        Bound the final residual and orthonormality defect must meet.
-
-    Raises
-    ------
-    RuntimeError
-        If an eigenvalue fails to converge within 30 sweeps, or the
-        verified residual exceeds ``tol``.
+    Returns the eigenvalues ascending (stable sort), the matching
+    eigenvector columns (None unless ``vectors``) and the sweep count. The
+    sweep's rotations are multiplied into the eigenvectors only when they
+    are wanted; the eigenvalues do not depend on it, bit for bit.
     """
-    if tol <= 0.0:
-        raise ValueError(f"need tol > 0, got {tol}")
     d = [float(v) for v in diag]
     m = len(d)
     if m == 0:
@@ -116,9 +100,10 @@ def tridiag_eigen(offdiag, diag, tol: float = 1e-9) -> EigenResult:
         e = [ldexp(v, -exponent) for v in e]
         norm = ldexp(norm, -exponent)
     floor = _UNDERFLOW * norm
-    z = np.eye(m)
-    k = np.arange(m)
-    alternating = np.tril((-1.0) ** np.subtract.outer(k, k))
+    if vectors:
+        z = np.eye(m)
+        k = np.arange(m)
+        alternating = np.tril((-1.0) ** np.subtract.outer(k, k))
     iterations = 0
     for low in range(m):
         sweeps = 0
@@ -170,8 +155,9 @@ def tridiag_eigen(offdiag, diag, tol: float = 1e-9) -> EigenResult:
                 g = c * r - b
                 rotations.append(c)
                 rotations.append(s)
-            block = z[:, first:split + 1]
-            block[...] = block @ _sweep_product(rotations, alternating)
+            if vectors:
+                block = z[:, first:split + 1]
+                block[...] = block @ _sweep_product(rotations, alternating)
             if first > low:
                 d[first] -= shift
                 e[first] = 0.0
@@ -182,9 +168,36 @@ def tridiag_eigen(offdiag, diag, tol: float = 1e-9) -> EigenResult:
             e[split] = 0.0
     values = np.ldexp(np.array(d), exponent)
     order = np.argsort(values, kind="stable")
-    values = values[order]
-    vectors = z[:, order]
+    return values[order], z[:, order] if vectors else None, iterations
 
+
+def tridiag_eigen(offdiag, diag, tol: float = 1e-9) -> EigenResult:
+    """Diagonalize a symmetric tridiagonal matrix by implicit-shift QL.
+
+    Plane rotations with Wilkinson shifts; each sweep's rotations are
+    multiplied into the eigenvector matrix as one block product. A sweep
+    whose rotation inputs both underflow to zero stops there, as the
+    matrix has split. Deterministic for fixed input. Eigenvalues are
+    returned in ascending order (stable sort) with eigenvector signs left
+    as the iteration produces them, for the caller to align.
+
+    Parameters
+    ----------
+    offdiag, diag : array_like
+        Off-diagonal (length m-1) and diagonal (length m) of the matrix.
+    tol : float
+        Bound the final residual and orthonormality defect must meet.
+
+    Raises
+    ------
+    RuntimeError
+        If an eigenvalue fails to converge within 30 sweeps, or the
+        verified residual exceeds ``tol``.
+    """
+    if tol <= 0.0:
+        raise ValueError(f"need tol > 0, got {tol}")
+    values, vectors, iterations = _ql(offdiag, diag, vectors=True)
+    m = len(values)
     dense = np.zeros((m, m))
     dense[np.arange(m), np.arange(m)] = [float(v) for v in diag]
     idx = np.arange(m - 1)
@@ -199,15 +212,9 @@ def tridiag_eigen(offdiag, diag, tol: float = 1e-9) -> EigenResult:
     return EigenResult(values, vectors, iterations, residual)
 
 
-def hermitian_tridiag_eigen(matrix, tol: float = 1e-9) -> EigenResult:
-    """Diagonalize a Hermitian tridiagonal matrix via phase reduction.
-
-    A diagonal unitary turns the matrix into a real symmetric tridiagonal
-    one with the same spectrum (|off-diagonals|, real diagonal); the real
-    problem goes through :func:`tridiag_eigen` and the eigenvectors are
-    re-phased. The reported residual is measured against the original
-    complex matrix.
-    """
+def _real_band(matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # The complex matrix, its superdiagonal and its real diagonal, after
+    # checking that it is square, tridiagonal and Hermitian.
     mat = np.asarray(matrix, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"need a square matrix, got shape {mat.shape}")
@@ -219,6 +226,20 @@ def hermitian_tridiag_eigen(matrix, tol: float = 1e-9) -> EigenResult:
         raise ValueError("matrix is not Hermitian")
     upper = np.array([mat[i, i + 1] for i in range(m - 1)])
     diag = np.array([mat[i, i].real for i in range(m)])
+    return mat, upper, diag
+
+
+def hermitian_tridiag_eigen(matrix, tol: float = 1e-9) -> EigenResult:
+    """Diagonalize a Hermitian tridiagonal matrix via phase reduction.
+
+    A diagonal unitary turns the matrix into a real symmetric tridiagonal
+    one with the same spectrum (|off-diagonals|, real diagonal); the real
+    problem goes through :func:`tridiag_eigen` and the eigenvectors are
+    re-phased. The reported residual is measured against the original
+    complex matrix.
+    """
+    mat, upper, diag = _real_band(matrix)
+    m = mat.shape[0]
     phases = np.ones(m, dtype=complex)
     for i in range(m - 1):
         entry = upper[i]
@@ -229,6 +250,18 @@ def hermitian_tridiag_eigen(matrix, tol: float = 1e-9) -> EigenResult:
     if residual > tol:
         raise RuntimeError(f"re-phased residual {residual:.3e} exceeds tol {tol:.1e}")
     return EigenResult(base.eigenvalues, vectors, base.iterations, residual)
+
+
+def hermitian_tridiag_eigenvalues(matrix) -> np.ndarray:
+    """Eigenvalues alone of a Hermitian tridiagonal matrix, ascending.
+
+    The same validation and the same QL sweeps as
+    :func:`hermitian_tridiag_eigen`, whose eigenvalues these equal bit for
+    bit, without accumulating the eigenvectors. With no vectors there is no
+    residual to verify: the caller compares the values with a reference.
+    """
+    _, upper, diag = _real_band(matrix)
+    return _ql(np.abs(upper), diag, vectors=False)[0]
 
 
 def krawtchouk_exact(n: int, x: int, p_num: int, p_den: int, N: int) -> Fraction:

@@ -11,6 +11,8 @@ column's largest entry follows from a Sturm count (the number of negative
 LDL^T pivots of the shifted leading Jacobi block), evaluated in floats for
 all such columns at once. The (p, N-1) Krawtchouk table also follows from
 the (p, N) eigenvectors by the forward shift, with no second eigensolve.
+Internally both Krawtchouk builders take the pair (p, q), q = 1 - p, so a
+caller that knows 1 - p more exactly than the float 1.0 - p can pass it.
 """
 
 from __future__ import annotations
@@ -174,11 +176,13 @@ def _krawtchouk_sign(diag: np.ndarray, off: np.ndarray, x: np.ndarray,
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _krawtchouk_table(p: float, N: int) -> np.ndarray:
+def _krawtchouk_table(p: float, q: float, N: int) -> np.ndarray:
+    # q stands for 1 - p. The Fourier overlaps pass p = 4s(1-s) with
+    # q = (1-2s)^2, where the float 1.0 - p loses up to 1.7e-8 near s = 1/2.
     n = np.arange(N, dtype=float)
     nn = np.arange(N + 1, dtype=float)
-    diag = p * (N - nn) + nn * (1.0 - p)
-    off = -np.sqrt(p * (1.0 - p) * (n + 1.0) * (N - n))
+    diag = p * (N - nn) + nn * q
+    off = -np.sqrt(p * q * (n + 1.0) * (N - n))
     return _jacobi_table(diag, off, _krawtchouk_sign)
 
 
@@ -197,24 +201,28 @@ def krawtchouk_table(p: float, N: int) -> np.ndarray:
         raise ValueError(f"need N >= 0, got N={N}")
     if not 0.0 < p < 1.0:
         raise ValueError(f"need 0 < p < 1, got p={p}")
-    return _krawtchouk_table(float(p), int(N))
+    p = float(p)
+    return _krawtchouk_table(p, 1.0 - p, int(N))
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _krawtchouk_shift_table(p: float, N: int) -> np.ndarray:
+def _krawtchouk_shift_table(p: float, q: float, N: int) -> np.ndarray:
     # Forward shift (Koekoek, Lesky & Swarttouw, section 9.11) applied to
     # the eigenvectors of the (p, N) Jacobi matrix, the columns T[:, k]:
     #   K~_{k-1}(x; p, N-1) sqrt(k)
-    #     = sqrt(p(N-x)) K~_k(x; p, N) - sqrt((1-p)(x+1)) K~_k(x+1; p, N).
-    # Each column x is then scaled to the dual norm sum_k K~_k(x)^2 = 1.
-    # Built as its transpose, indexed [x, k-1].
-    table = krawtchouk_table(p, N)
+    #     = sqrt(p(N-x)) K~_k(x; p, N) - sqrt(q(x+1)) K~_k(x+1; p, N),
+    # q = 1 - p as in _krawtchouk_table. Each column x is then scaled to the
+    # dual norm sum_k K~_k(x)^2 = 1. Built as its transpose, indexed [x, k-1].
+    # The ordinary family (q == 1.0 - p) reads its table through the public
+    # krawtchouk_table, the same cached array, so that a tracer of the
+    # public entry point sees every table read.
+    table = krawtchouk_table(p, N) if q == 1.0 - p else _krawtchouk_table(p, q, N)
     x = np.arange(N, dtype=float)
     k = x + 1.0
     # In place: one N x N temporary besides the result, so a cold model's
     # peak memory stays where the second eigensolve left it.
     shifted = np.sqrt(p * (N - x))[:, None] * table[:-1, 1:]
-    shifted -= np.sqrt((1.0 - p) * k)[:, None] * table[1:, 1:]
+    shifted -= np.sqrt(q * k)[:, None] * table[1:, 1:]
     shifted /= np.sqrt(k)
     shifted /= np.linalg.norm(shifted, axis=1)[:, None]
     shifted = shifted.T
@@ -235,7 +243,8 @@ def krawtchouk_shift_table(p: float, N: int) -> np.ndarray:
         raise ValueError(f"need N >= 1, got N={N}")
     if not 0.0 < p < 1.0:
         raise ValueError(f"need 0 < p < 1, got p={p}")
-    return _krawtchouk_shift_table(float(p), int(N))
+    p = float(p)
+    return _krawtchouk_shift_table(p, 1.0 - p, int(N))
 
 
 def krawtchouk_normalized(n: int, x: int, p: float, N: int) -> float:

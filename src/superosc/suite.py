@@ -21,8 +21,8 @@ from functools import cache
 import numpy as np
 
 from . import representation
-from .fourier import J_matrix, fourier_eigensystem_report
-from .oracle import hermitian_tridiag_eigen, krawtchouk_exact, tridiag_eigen
+from .fourier import J_matrix, _S_krawtchouk, _S_table, fourier_eigensystem_report
+from .oracle import hermitian_tridiag_eigenvalues, krawtchouk_exact, tridiag_eigen
 from .oscillator import (
     ModelParams,
     analytic_U,
@@ -135,6 +135,11 @@ def _sweep_checks(report: VerificationReport, j: int, p: float, tol: float) -> N
                 node_misses += 1
         report.add(f"{label} closed-form route agreement", closed_dev, tol)
         report.add(f"{label} node counts", float(node_misses), 0.0)
+        # The overlaps fourier_analytic reads, against the exact integer
+        # route: both the (p, j) and the (p, j-1) table.
+        overlap_dev = max(float(np.max(np.abs(table - _S_table(p, degree))))
+                          for table, degree in zip(_S_krawtchouk(p, j), (j, j - 1)))
+        report.add(f"{label} S exact vs Krawtchouk(4p(1-p))", overlap_dev, tol)
 
     oracle_q = tridiag_eigen(position_matrix(params).offdiag, np.zeros(dim))
     report.add(f"{label} oracle position eigenvalues",
@@ -143,9 +148,8 @@ def _sweep_checks(report: VerificationReport, j: int, p: float, tol: float) -> N
         np.sum(oracle_q.eigenvectors * u, axis=0) < 0, -1.0, 1.0)[None, :]
     report.add(f"{label} oracle eigenvectors vs analytic",
                float(np.max(np.abs(aligned - u))), 1e-8)
-    oracle_p = hermitian_tridiag_eigen(mp)
     report.add(f"{label} oracle momentum eigenvalues",
-               float(np.max(np.abs(oracle_p.eigenvalues - spectrum))), 1e-9)
+               float(np.max(np.abs(hermitian_tridiag_eigenvalues(mp) - spectrum))), 1e-9)
 
 
 def _fixed_checks(report: VerificationReport, tol: float) -> None:

@@ -17,6 +17,7 @@ from superosc import (
     paraboson_limit_table,
     position_spectrum,
 )
+from superosc import cli, fourier
 from superosc.cli import _floats, _fmt, _fmt_seq, _json, main
 
 
@@ -377,11 +378,12 @@ def test_hamiltonian_spectrum_needs_no_dense_matrix(capsys):
     assert peak < 16 * 2**20
 
 
-# sha256 of `fourier --method analytic` stdout. Each overlap is one
-# correctly rounded integer true division and one math.sqrt, and each matrix
-# entry one IEEE product of it by -i/2, 1/2 or -i/sqrt(2), so these bytes
-# should be the same on every IEEE platform; a change to them is a change to
-# the printed matrix.
+# sha256 of `fourier --method analytic` stdout with the overlaps taken from
+# the exact integer route, through the same block layout and formatter. Each
+# exact overlap is one correctly rounded integer true division and one
+# math.sqrt, and each matrix entry one IEEE product of it by -i/2, 1/2 or
+# -i/sqrt(2), so these bytes should be the same on every IEEE platform; a
+# change to them is a change to the layout or to the printed format.
 _ANALYTIC_FOURIER_SHA256 = {
     (12, "0.3", "csv"): "3269e766eec7071e57c4b5e3abb1d46c75a2065a10948ec933d00c020da7f5e9",
     (12, "0.3", "json"): "62bdcd33c772a009816e7fcf46456ce84da13546a402b6d07c06128100cdf212",
@@ -394,9 +396,32 @@ _ANALYTIC_FOURIER_SHA256 = {
 }
 
 
+def _exact_fourier(params):
+    # F from the exact overlap tables, through fourier_analytic's layout.
+    j, p = params.j, params.p
+    odd = fourier._S_table(p, j - 1) if j else np.empty((0, 0))
+    return fourier.FourierMatrix(fourier._fourier_blocks(fourier._S_table(p, j), odd), j)
+
+
 @pytest.mark.parametrize("j,p,fmt", sorted(_ANALYTIC_FOURIER_SHA256))
-def test_analytic_fourier_output_matches_golden_hash(capsys, j, p, fmt):
+def test_analytic_fourier_output_matches_golden_hash(capsys, monkeypatch, j, p, fmt):
+    monkeypatch.setattr(cli, "fourier_analytic", _exact_fourier)
     code, out, err = run(capsys, "fourier", "--j", str(j), "--p", p,
                          "--method", "analytic", "--format", fmt)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == _ANALYTIC_FOURIER_SHA256[j, p, fmt]
+
+
+def _printed_matrix(out):
+    # The complex matrix of `fourier` CSV output: re,im pairs per row.
+    values = np.array([[float(v) for v in line.split(",")] for line in out.splitlines()[2:]])
+    return values[:, 0::2] + 1j * values[:, 1::2]
+
+
+@pytest.mark.parametrize("j,p", sorted({(j, p) for j, p, _ in _ANALYTIC_FOURIER_SHA256})
+                         + [(25, repr(0.5 + d)) for d in (-1e-6, 1e-8, 3e-9, 1e-12)])
+def test_analytic_fourier_output_is_near_the_exact_route(capsys, j, p):
+    code, out, err = run(capsys, "fourier", "--j", str(j), "--p", p, "--method", "analytic")
+    assert (code, err) == (0, "")
+    exact = _exact_fourier(ModelParams(j, float(p))).data
+    assert np.max(np.abs(_printed_matrix(out) - exact)) <= 1e-13

@@ -1,11 +1,12 @@
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superosc import fourier
+from superosc import fourier, specfun
 from superosc import (
     J_matrix,
     ModelParams,
@@ -114,7 +115,67 @@ def test_closed_routes_refuse_p_that_rounds_to_an_endpoint(p):
     with pytest.raises(ValueError):
         S_closed(1, 1, p, 3)
     with pytest.raises(ValueError):
-        fourier_analytic(ModelParams(3, p))
+        fourier._S_table(p, 3)
+
+
+@pytest.mark.parametrize("p", [1e-16, 1.0 - 2.0**-53])
+def test_analytic_route_takes_p_the_closed_routes_refuse(p):
+    # fourier_analytic reads Krawtchouk tables at w = 4p(1-p), with no
+    # rational form of p, so it takes every p that ModelParams takes.
+    params = ModelParams(3, p)
+    analytic = fourier_analytic(params).data
+    assert np.max(np.abs(analytic - fourier_spectral(params).data)) <= 1e-12
+    assert np.max(np.abs(analytic.conj().T @ analytic - np.eye(7))) <= 1e-12
+
+
+# p around 1/2, where 1.0 - 4p(1-p) would lose up to 1.7e-8, and near the
+# endpoints, where the sign sigma and the weak-anchor fallbacks matter.
+_EXACT_P = (0.1, 0.25, 0.3, 0.37, 0.5, 0.7, 0.9, 0.123456789, 1e-3, 0.999,
+            0.5 - 1e-6, 0.5 + 1e-8, 0.5 + 3e-9, 0.5 + 1e-12, 0.5 - 1e-12)
+
+
+def _exact_fourier(j, p):
+    odd = fourier._S_table(p, j - 1) if j else np.empty((0, 0))
+    return fourier._fourier_blocks(fourier._S_table(p, j), odd)
+
+
+@pytest.mark.parametrize("p", _EXACT_P)
+def test_analytic_route_matches_the_exact_overlaps(p):
+    for j in (0, 1, 2, 3, 7, 12, 17, 25, 40, 60):
+        analytic = fourier_analytic(ModelParams(j, p)).data
+        assert np.max(np.abs(analytic - _exact_fourier(j, p))) <= 1e-13
+        assert np.array_equal(analytic, analytic.T)
+
+
+def test_analytic_route_at_half_is_exact():
+    # q = (1-2p)^2 = 0: the anti-identity, no eigensolve, every bit as the
+    # exact route gives it.
+    for j in range(0, 20):
+        analytic = fourier_analytic(ModelParams(j, 0.5)).data
+        assert analytic.tobytes() == _exact_fourier(j, 0.5).tobytes()
+
+
+def test_analytic_route_is_fast_at_large_j():
+    # The exact route took 81 s here (its integers carry b^(2j), b = 10^9).
+    specfun._krawtchouk_table.cache_clear()
+    specfun._krawtchouk_shift_table.cache_clear()
+    start = time.perf_counter()
+    fourier_analytic(ModelParams(400, 0.123456789))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_analytic_route_uses_no_big_integers(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("fourier_analytic reached the exact integer route")
+
+    for module in (fourier, specfun):
+        for name in ("_S_table", "_hyp2f1_rational", "_ratio"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    for j, p in ((0, 0.3), (1, 0.7), (12, 0.3), (41, 0.9), (30, 0.5), (25, 0.5 + 1e-8)):
+        params = ModelParams(j, p)
+        assert np.max(np.abs(fourier_analytic(params).data
+                             - fourier_spectral(params).data)) <= 1e-12
 
 
 def test_overlap_domain_checks():

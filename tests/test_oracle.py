@@ -8,7 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import superosc.oracle as oracle
-from superosc.oracle import hermitian_tridiag_eigen, krawtchouk_exact, tridiag_eigen
+from superosc.oracle import (
+    hermitian_tridiag_eigen,
+    hermitian_tridiag_eigenvalues,
+    krawtchouk_exact,
+    tridiag_eigen,
+)
 
 
 def test_oracle_imports_nothing_from_the_package():
@@ -183,6 +188,38 @@ def test_hermitian_solver_validation():
     full = np.ones((4, 4), dtype=complex)
     with pytest.raises(ValueError):
         hermitian_tridiag_eigen(full)  # not tridiagonal
+
+
+def test_eigenvalues_only_path_is_bit_identical():
+    # Skipping the rotation products leaves the sweeps, and so the values,
+    # unchanged: the verify sweep's momentum matrices and random Hermitian
+    # bands, some with deflating zero couplings.
+    from superosc import ModelParams, momentum_matrix
+
+    matrices = [momentum_matrix(ModelParams(j, p))
+                for p in (0.1, 0.3, 0.5, 0.7, 0.9) for j in range(0, 13)]
+    rng = np.random.default_rng(11)
+    for m in (1, 2, 5, 17):
+        e = rng.normal(size=m - 1) + 1j * rng.normal(size=m - 1)
+        e[::3] = 0.0
+        matrices.append(np.diag(rng.normal(size=m)).astype(complex)
+                        + np.diag(e, 1) + np.diag(e.conj(), -1))
+    for mat in matrices:
+        values = hermitian_tridiag_eigenvalues(mat)
+        assert values.tobytes() == hermitian_tridiag_eigen(mat).eigenvalues.tobytes()
+
+
+@pytest.mark.parametrize("bad", [
+    np.ones((2, 3)),
+    np.ones((4, 4), dtype=complex),               # outside the band
+    np.diag([1j, 2.0]) + np.diag([1.0], 1) + np.diag([1.0], -1),  # complex diagonal
+    np.diag([0.0, 0.0]) + np.diag([1j], 1) + np.diag([1j], -1),   # not Hermitian
+])
+def test_eigenvalues_only_path_keeps_the_validation(bad):
+    with pytest.raises(ValueError):
+        hermitian_tridiag_eigenvalues(bad)
+    with pytest.raises(ValueError):
+        hermitian_tridiag_eigen(bad)
 
 
 def test_exact_krawtchouk_values():

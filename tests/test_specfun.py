@@ -370,6 +370,17 @@ def test_dual_hahn_table_signs_where_anchors_fail():
         assert _exact_sign(table[ns[x], x]) == expected
 
 
+@pytest.mark.parametrize("p", [1e-12, 0.3, 0.5, 0.9, 1 - 1e-12])
+def test_public_tables_are_the_pq_form_at_one_minus_p(p):
+    # The public builders pass (p, 1.0 - p) to the (p, q) form and share its
+    # cache entries.
+    for N in (0, 1, 7, 40):
+        assert specfun.krawtchouk_table(p, N) is specfun._krawtchouk_table(p, 1.0 - p, N)
+        if N:
+            assert (specfun.krawtchouk_shift_table(p, N)
+                    is specfun._krawtchouk_shift_table(p, 1.0 - p, N))
+
+
 def test_table_caches_are_bounded():
     for cache in (specfun._krawtchouk_table, specfun._krawtchouk_shift_table,
                   specfun._dual_hahn_table, fourier._S_table, specfun._ratio,

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from superosc import specfun, suite, wavefunctions
+from superosc import fourier, specfun, suite, wavefunctions
 from superosc.report import VerificationReport
 
 
@@ -54,8 +54,8 @@ def test_p_to_one_convergence_check_catches_a_wrong_limit(monkeypatch, wrong, fa
 
 # run_suite(2, (0.5,)): a check added, dropped, renamed, moved or given a
 # new tolerance changes these; update them together with the suite.
-PINNED_CHECK_COUNT = 112
-PINNED_CHECK_SHA256 = "ca80622bf863a860c990d7f8abff472f714b82f5a958706d832eb33d1802b7da"
+PINNED_CHECK_COUNT = 114
+PINNED_CHECK_SHA256 = "b2f915f8c6111ef8fd20b740f8b3a59a71dd50c20564ab9883e5839a89eb9976"
 
 
 def test_verify_check_list_is_pinned():
@@ -131,7 +131,7 @@ def test_odd_row_table_check_catches_a_sign_flipped_builder(monkeypatch, wrong):
     assert _check(report, name).passed
     shift_table = specfun._krawtchouk_shift_table
     monkeypatch.setattr(specfun, "_krawtchouk_shift_table",
-                        lambda p, N: wrong(shift_table(p, N)))
+                        lambda p, q, N: wrong(shift_table(p, q, N)))
     report = VerificationReport()
     suite._sweep_checks(report, 4, 0.3, 1e-10)
     assert not _check(report, name).passed
@@ -173,3 +173,55 @@ def test_closed_row_is_built_once_per_level():
     assert (info.misses, info.hits) == (params.dim, params.dim)
     assert not closed_row(6, 0.3, 0)[0].flags.writeable
     assert closed_row(6, 0.3, 0)[0][0] != 99.0
+
+
+_OVERLAP_CHECK = "S exact vs Krawtchouk(4p(1-p))"
+
+
+def _overlap_checks(ps=(0.3, 0.7), js=(1, 2, 5)):
+    # The cross-family overlap line at each (j, p), by its passing state.
+    report = VerificationReport()
+    for p in ps:
+        for j in js:
+            suite._sweep_checks(report, j, p, 1e-10)
+    return {c.name: c.passed for c in report.checks if c.name.endswith(_OVERLAP_CHECK)}
+
+
+def test_overlap_check_passes_on_every_sweep_point():
+    report = suite.run_suite(suite._CLOSED_ROUTE_J_CAP + 1)
+    checks = [c for c in report.checks if c.name.endswith(_OVERLAP_CHECK)]
+    assert len(checks) == suite._CLOSED_ROUTE_J_CAP * len(suite.DEFAULT_P_LIST)
+    assert all(c.passed for c in checks)
+
+
+def _swapped(builder):
+    return lambda w, q, N: builder(q, w, N)
+
+
+@pytest.mark.parametrize("mutant,failing_p", [
+    # sigma negated: every point fails.
+    ("flipped sigma", (0.3, 0.7)),
+    # (w, q) passed to the builder the wrong way round.
+    ("swapped (w, q)", (0.3, 0.7)),
+    # sigma applied whatever p is: the p < 1/2 points fail.
+    ("sigma for every p", (0.3,)),
+    # sigma never applied: the p > 1/2 points fail.
+    ("sigma for no p", (0.7,)),
+])
+def test_overlap_check_catches_a_wrong_route(monkeypatch, mutant, failing_p):
+    sigma = fourier._sigma
+    if mutant == "flipped sigma":
+        monkeypatch.setattr(fourier, "_sigma", lambda t, p: -sigma(t, p))
+    elif mutant == "swapped (w, q)":
+        monkeypatch.setattr(fourier, "_krawtchouk_table", _swapped(fourier._krawtchouk_table))
+        monkeypatch.setattr(fourier, "_krawtchouk_shift_table",
+                            _swapped(fourier._krawtchouk_shift_table))
+    elif mutant == "sigma for every p":
+        monkeypatch.setattr(fourier, "_sigma", lambda t, p: sigma(t, 1.0))
+    else:
+        monkeypatch.setattr(fourier, "_sigma", lambda t, p: t)
+    checks = _overlap_checks()
+    assert len(checks) == 6
+    for name, passed in checks.items():
+        p = float(name.split()[1][2:])
+        assert passed == (p not in failing_p), name
