@@ -15,7 +15,6 @@ from .fourier import (
     FourierMatrix,
     J_matrix,
     S_closed,
-    S_sum,
     expected_multiplicities,
     fourier_analytic,
     fourier_eigensystem_report,
@@ -52,17 +51,11 @@ from .representation import (
     verify_superalgebra,
 )
 from .specfun import (
-    dual_hahn,
     dual_hahn_normalized,
     dual_hahn_table,
-    hyp2f1_terminating,
-    krawtchouk,
-    krawtchouk_norm,
     krawtchouk_normalized,
     krawtchouk_shift_table,
     krawtchouk_table,
-    krawtchouk_weight,
-    laguerre,
     paraboson_even_wavefunction,
 )
 from .suite import run_suite
@@ -88,14 +81,12 @@ __all__ = [
     "ModelParams",
     "ODD_GENERATORS",
     "S_closed",
-    "S_sum",
     "SymTridiagonal",
     "VerificationReport",
     "WaveTable",
     "analytic_U",
     "analytic_V",
     "apply_fourier",
-    "dual_hahn",
     "dual_hahn_normalized",
     "dual_hahn_table",
     "expected_multiplicities",
@@ -107,15 +98,10 @@ __all__ = [
     "hamiltonian_matrix",
     "hermitian_tridiag_eigen",
     "hermitian_tridiag_eigenvalues",
-    "hyp2f1_terminating",
-    "krawtchouk",
     "krawtchouk_exact",
-    "krawtchouk_norm",
     "krawtchouk_normalized",
     "krawtchouk_shift_table",
     "krawtchouk_table",
-    "krawtchouk_weight",
-    "laguerre",
     "limit_U",
     "momentum_matrix",
     "momentum_wavefunction",

@@ -31,7 +31,7 @@ from .specfun import (
     _krawtchouk_shift_table,
     _krawtchouk_table,
     _ratio,
-    krawtchouk_table,
+    krawtchouk_table,  # noqa: F401 - unused; kept for callers that patch each binding
 )
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "EigenvalueMultiplicity",
     "J_matrix",
     "fourier_spectral",
-    "S_sum",
     "S_closed",
     "fourier_analytic",
     "expected_multiplicities",
@@ -80,33 +79,23 @@ class EigenvalueMultiplicity(NamedTuple):
     minus_one: int
 
 
+def _quarter_turns(dim: int) -> np.ndarray:
+    # The diagonal -i * i^r, r = 0..dim-1, exact: numpy rounds i^r itself
+    # from r = 100 on, so the power is taken of r mod 4.
+    return -1j * 1j ** (np.arange(dim) % 4)
+
+
 def J_matrix(j: int) -> np.ndarray:
     """Diagonal matrix with entries -i * i^r, r = 0..2j; fourth power is I."""
     if j < 0:
         raise ValueError(f"need j >= 0, got j={j}")
-    r = np.arange(2 * j + 1)
-    return np.diag(-1j * 1j**r)
+    return np.diag(_quarter_turns(2 * j + 1))
 
 
 def fourier_spectral(params: ModelParams) -> FourierMatrix:
     """Transform via the spectral route U^T J U."""
     u = analytic_U(params)
-    r = np.arange(params.dim)
-    jdiag = -1j * 1j**r
-    return FourierMatrix((u.T * jdiag[None, :]) @ u, params.j)
-
-
-def S_sum(k: int, l: int, p: float, j: int) -> float:
-    """Overlap sum S(k, l; p, j) = sum_n (-1)^n K~_k(n) K~_l(n).
-
-    Definition of record; :func:`S_closed` must agree wherever its closed
-    form is defined.
-    """
-    if not (0 <= k <= j and 0 <= l <= j):
-        raise ValueError(f"need 0 <= k, l <= j, got k={k}, l={l}, j={j}")
-    table = krawtchouk_table(p, j)
-    signs = np.where(np.arange(j + 1) % 2 == 0, 1.0, -1.0)
-    return float(np.sum(signs * table[k, :] * table[l, :]))
+    return FourierMatrix((u.T * _quarter_turns(params.dim)[None, :]) @ u, params.j)
 
 
 def _S_parts(p: float, j: int) -> tuple[int, int, int, list[int], list[int], list[int]]:
@@ -285,7 +274,7 @@ def fourier_eigensystem_report(
     j = params.j
     dim = params.dim
     u = analytic_U(params)
-    jdiag = np.diag(J_matrix(j))
+    jdiag = _quarter_turns(dim)
     analytic = fourier_analytic(params).data
     spectral = fourier_spectral(params).data
     identity = np.eye(dim)
@@ -304,8 +293,8 @@ def fourier_eigensystem_report(
     report.add(f"{label} eigenvector rows (F U^T = U^T J)",
                float(np.max(np.abs(analytic @ u.T - u.T * jdiag[None, :]))), tol)
 
-    r = np.arange(dim)
-    counts = EigenvalueMultiplicity(*(int(np.sum(r % 4 == m)) for m in range(4)))
+    counts = EigenvalueMultiplicity(*(int(np.sum(jdiag == value))
+                                      for value in (-1j, 1.0, 1j, -1.0)))
     report.add(f"{label} multiplicity parity rule",
                0.0 if counts == expected_multiplicities(j) else 1.0, 0.0)
     return report, counts

@@ -78,10 +78,10 @@ class SymTridiagonal:
 
 
 def _position_offdiag(j: int, p: float) -> np.ndarray:
+    k = np.arange(1, j + 1)
     off = np.empty(2 * j)
-    for k in range(1, j + 1):
-        off[2 * k - 2] = math.sqrt(p) * math.sqrt(j + 1 - k)
-        off[2 * k - 1] = math.sqrt(1.0 - p) * math.sqrt(k)
+    off[0::2] = math.sqrt(p) * np.sqrt(j + 1 - k)
+    off[1::2] = math.sqrt(1.0 - p) * np.sqrt(k)
     return off
 
 

@@ -1,18 +1,18 @@
-"""Terminating hypergeometric series and discrete orthogonal polynomials.
+"""Discrete orthogonal polynomial tables and terminating hypergeometric sums.
 
-Provides the Krawtchouk, dual Hahn and Laguerre families together with the
-even paraboson wave function. Weights and norms are evaluated in log-space
-(via the log-gamma function) so that grids of a few hundred points stay
-inside double range. Orthonormal tables are produced from the symmetric
-Jacobi (three-term recurrence) matrix of each family, whose eigenvectors
-are the normalized polynomial values on the grid. Column signs are fixed
-by anchor rows; where both anchors are too small to trust, the sign of the
-column's largest entry follows from a Sturm count (the number of negative
-LDL^T pivots of the shifted leading Jacobi block), evaluated in floats for
-all such columns at once. The (p, N-1) Krawtchouk table also follows from
-the (p, N) eigenvectors by the forward shift, with no second eigensolve.
-Internally both Krawtchouk builders take the pair (p, q), q = 1 - p, so a
-caller that knows 1 - p more exactly than the float 1.0 - p can pass it.
+Provides the orthonormal Krawtchouk and dual Hahn tables, the exact integer
+2F1 recurrence of the closed routes, and the even paraboson wave function,
+whose magnitude is assembled in log space. Orthonormal tables are produced
+from the symmetric Jacobi (three-term recurrence) matrix of each family,
+whose eigenvectors are the normalized polynomial values on the grid. Column
+signs are fixed by anchor rows; where both anchors are too small to trust,
+the sign of the column's largest entry follows from a Sturm count (the
+number of negative LDL^T pivots of the shifted leading Jacobi block),
+evaluated in floats for all such columns at once. The (p, N-1) Krawtchouk
+table also follows from the (p, N) eigenvectors by the forward shift, with
+no second eigensolve. Internally both Krawtchouk builders take the pair
+(p, q), q = 1 - p, so a caller that knows 1 - p more exactly than the float
+1.0 - p can pass it.
 """
 
 from __future__ import annotations
@@ -26,17 +26,11 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.special import gammaln
 
 __all__ = [
-    "hyp2f1_terminating",
-    "krawtchouk",
-    "krawtchouk_weight",
-    "krawtchouk_norm",
     "krawtchouk_normalized",
     "krawtchouk_table",
     "krawtchouk_shift_table",
-    "dual_hahn",
     "dual_hahn_normalized",
     "dual_hahn_table",
-    "laguerre",
     "paraboson_even_wavefunction",
 ]
 
@@ -46,78 +40,6 @@ _ANCHOR_FLOOR = 1e-8
 # Tables kept per cache; a model reads one eigensolved and one shifted
 # Krawtchouk table.
 _CACHE_SIZE = 64
-
-
-def hyp2f1_terminating(n: int, b: float, c: float, z: float) -> float:
-    """Evaluate the terminating series 2F1(-n, b; c; z).
-
-    The sum has n+1 terms; each term is obtained from the previous one by a
-    ratio update, so the cost is O(n) and no Pochhammer symbol is ever
-    recomputed from scratch.
-
-    Parameters
-    ----------
-    n : int
-        Non-negative series degree.
-    b, c, z : float
-        Remaining numerator parameter, denominator parameter and argument.
-
-    Raises
-    ------
-    ValueError
-        If n is negative, or a denominator factor c+s vanishes before the
-        numerator terminates the series.
-    """
-    if n < 0 or n != int(n):
-        raise ValueError(f"degree must be a non-negative integer, got {n!r}")
-    total = 1.0
-    term = 1.0
-    for s in range(int(n)):
-        num = (-n + s) * (b + s)
-        if num == 0.0:
-            break
-        den = (c + s) * (s + 1.0)
-        if den == 0.0:
-            raise ValueError(
-                f"2F1(-{n}, {b}; {c}; {z}): denominator vanished at term {s + 1}"
-            )
-        term *= num / den * z
-        total += term
-        if term == 0.0:
-            break
-    return total
-
-
-def krawtchouk(n: int, x: float, p: float, N: int) -> float:
-    """Krawtchouk polynomial K_n(x; p, N) = 2F1(-n, -x; -N; 1/p).
-
-    Symmetric in (n, x) when both are grid integers.
-    """
-    if not 0 <= n <= N:
-        raise ValueError(f"need 0 <= n <= N, got n={n}, N={N}")
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"need 0 < p < 1, got p={p}")
-    return hyp2f1_terminating(n, -x, -N, 1.0 / p)
-
-
-def krawtchouk_weight(x: int, p: float, N: int) -> float:
-    """Binomial weight w(x; p, N) = C(N, x) p^x (1-p)^(N-x), log-space."""
-    if not 0 <= x <= N:
-        raise ValueError(f"need 0 <= x <= N, got x={x}, N={N}")
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"need 0 < p < 1, got p={p}")
-    lbinom = gammaln(N + 1) - gammaln(x + 1) - gammaln(N - x + 1)
-    return math.exp(lbinom + x * math.log(p) + (N - x) * math.log1p(-p))
-
-
-def krawtchouk_norm(n: int, p: float, N: int) -> float:
-    """Squared norm h(n; p, N) = n!(N-n)!/N! ((1-p)/p)^n, log-space."""
-    if not 0 <= n <= N:
-        raise ValueError(f"need 0 <= n <= N, got n={n}, N={N}")
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"need 0 < p < 1, got p={p}")
-    lg = gammaln(n + 1) + gammaln(N - n + 1) - gammaln(N + 1)
-    return math.exp(lg + n * (math.log1p(-p) - math.log(p)))
 
 
 def _sturm_sign(diag: np.ndarray, off: np.ndarray, lam: np.ndarray,
@@ -254,30 +176,6 @@ def krawtchouk_normalized(n: int, x: int, p: float, N: int) -> float:
     return float(krawtchouk_table(p, N)[n, x])
 
 
-def dual_hahn(n: int, x: int, gamma: float, delta: float, N: int) -> float:
-    """Dual Hahn polynomial R_n(lambda(x); gamma, delta, N).
-
-    Evaluates the terminating series
-    3F2(-n, -x, x+gamma+delta+1; -N, gamma+1; 1) by term recurrence on the
-    quadratic lattice lambda(x) = x(x+gamma+delta+1). Direct summation is
-    reliable for small degrees; for the full orthonormal family use
-    :func:`dual_hahn_normalized`, which avoids the large-n cancellation.
-    """
-    if not 0 <= n <= N or not 0 <= x <= N:
-        raise ValueError(f"need 0 <= n, x <= N, got n={n}, x={x}, N={N}")
-    if gamma <= -1 or delta <= -1:
-        raise ValueError(f"need gamma, delta > -1, got ({gamma}, {delta})")
-    total = 1.0
-    term = 1.0
-    for s in range(min(n, x)):
-        den = (-N + s) * (gamma + 1 + s) * (s + 1)
-        if den == 0.0:
-            raise ValueError(f"dual Hahn series: denominator vanished at term {s + 1}")
-        term *= (-n + s) * (-x + s) * (x + gamma + delta + 1 + s) / den
-        total += term
-    return total
-
-
 def _dual_hahn_sign(diag: np.ndarray, off: np.ndarray, x: np.ndarray,
                     ns: np.ndarray, shift: float) -> np.ndarray:
     # True sign of R~_ns(lambda(x)), on lambda(x) = x(x + shift) with
@@ -323,20 +221,6 @@ def _hyp1f1_series(n: int, a: float, x: float) -> float:
         term *= (-n + s) / ((a + 1 + s) * (s + 1)) * x
         total += term
     return total
-
-
-def laguerre(n: int, a: float, x: float) -> float:
-    """Generalized Laguerre polynomial L_n^(a)(x) via terminating 1F1.
-
-    L_n^(a)(x) = ((a+1)_n / n!) 1F1(-n; a+1; x); the Pochhammer prefactor
-    goes through log-gamma so large a (paraboson parameters) is safe.
-    """
-    if n < 0:
-        raise ValueError(f"need n >= 0, got n={n}")
-    if a <= -1:
-        raise ValueError(f"need a > -1, got a={a}")
-    prefactor = math.exp(gammaln(a + 1 + n) - gammaln(a + 1) - gammaln(n + 1))
-    return prefactor * _hyp1f1_series(n, a, x)
 
 
 def paraboson_even_wavefunction(n: int, c: float, x: float) -> float:

@@ -36,10 +36,8 @@ from .oscillator import (
 )
 from .report import VerificationReport
 from .specfun import (
-    dual_hahn_normalized,
+    _hyp2f1_rational,
     dual_hahn_table,
-    krawtchouk,
-    krawtchouk_normalized,
     krawtchouk_shift_table,
     krawtchouk_table,
 )
@@ -206,24 +204,24 @@ def _fixed_checks(report: VerificationReport, tol: float) -> None:
                                      != p_num * j * c * u2 * d2)
     report.add("shift identities exact (j <= 8)", float(exact_misses), 0.0)
 
-    scaled = 0.0
-    for p in (0.1, 0.5, 0.9):
+    # The forward shift once more, through the integer 2F1 recurrence that
+    # the closed rows and exact overlaps read: with p = a/b,
+    # K_k(x; p, N) = A_x[k] / (a^k N!/(N-k)!) for A_x = _hyp2f1_rational(x, N, b, a),
+    # and a j (K_k(n+1) - K_k(n)) = -k b K_{k-1}(n; j-1) is multiplied
+    # through by both scales.
+    recurrence_misses = 0
+    for a, b in ((1, 10), (1, 2), (9, 10)):
         for j in (17, 30):
-            value, term_sum = cache(krawtchouk), cache(_krawtchouk_term_sum)
+            upper = [_hyp2f1_rational(x, j, b, a) for x in range(j + 1)]
+            lower = [_hyp2f1_rational(x, j - 1, b, a) for x in range(j)]
             for k in range(1, j + 1):
+                scale = a**k * math.perm(j, k)
+                lower_scale = a ** (k - 1) * math.perm(j - 1, k - 1)
                 for n in range(j):
-                    lhs = value(k, n + 1, p, j) - value(k, n, p, j)
-                    rhs = -(k / (p * j)) * value(k - 1, n, p, j - 1)
-                    # Backward-error scale: each value is a sum whose terms
-                    # can dwarf the result (peak ~1e13 against an O(1) value
-                    # at p=1/2, k=j=30), so rounding noise is proportional to
-                    # the absolute term sums, not to the outputs.
-                    cond = max(1.0,
-                               term_sum(k, n + 1, p, j),
-                               term_sum(k, n, p, j),
-                               (k / (p * j)) * term_sum(k - 1, n, p, j - 1))
-                    scaled = max(scaled, abs(lhs - rhs) / cond)
-    report.add("forward shift identity, rounding-scaled (j <= 30)", scaled, 1e-12)
+                    recurrence_misses += (a * j * (upper[n + 1][k] - upper[n][k]) * lower_scale
+                                          != -k * b * lower[n][k - 1] * scale)
+    report.add("forward shift identity, integer recurrence (j <= 30)",
+               float(recurrence_misses), 0.0)
 
     for gamma, delta in ((0.5, 0.5), (3.0, 7.0)):
         table = dual_hahn_table(gamma, delta, 40)
@@ -232,9 +230,8 @@ def _fixed_checks(report: VerificationReport, tol: float) -> None:
 
     alpha, j_limit, p_half = 1e6, 20, 0.5
     gamma, delta = 2 * p_half * alpha, 2 * (1 - p_half) * alpha
-    gap = max(abs(dual_hahn_normalized(n, k, gamma, delta, j_limit)
-                  - krawtchouk_normalized(n, k, p_half, j_limit))
-              for n in range(j_limit + 1) for k in range(j_limit + 1))
+    gap = float(np.max(np.abs(dual_hahn_table(gamma, delta, j_limit)
+                              - krawtchouk_table(p_half, j_limit))))
     report.add("large-alpha dual Hahn -> Krawtchouk (alpha=1e6, j=20)", gap, 1e-4)
 
     alpha = 10.0
@@ -247,21 +244,6 @@ def _fixed_checks(report: VerificationReport, tol: float) -> None:
         errors.append(worst)
     report.add("paraboson comparison error decreases (j=200 -> 400)",
                0.0 if errors[1] < errors[0] else 1.0, 0.0)
-
-
-def _krawtchouk_term_sum(n: int, x: int, p: float, N: int) -> float:
-    # Sum of absolute values of the defining series' terms, mirrored from
-    # the hyp2f1_terminating recurrence; bounds the rounding noise of the
-    # evaluated polynomial.
-    total = 1.0
-    term = 1.0
-    for s in range(n):
-        numerator = (n - s) * (x - s)
-        if numerator == 0:
-            break
-        term *= abs(numerator) / ((N - s) * (s + 1) * p)
-        total += term
-    return total
 
 
 def run_suite(j_max: int = 10, p_list: tuple[float, ...] = DEFAULT_P_LIST,

@@ -11,15 +11,24 @@ from superosc import (
     J_matrix,
     ModelParams,
     S_closed,
-    S_sum,
     analytic_U,
     expected_multiplicities,
     fourier_analytic,
     fourier_eigensystem_report,
     fourier_spectral,
+    krawtchouk_normalized,
+    krawtchouk_table,
 )
 
 S2 = math.sqrt(2.0)
+
+
+def _S_sum(k, l, p, j):
+    # The overlap by its definition, sum_n (-1)^n K~_k(n) K~_l(n), over the
+    # eigensolved table.
+    table = krawtchouk_table(p, j)
+    signs = np.where(np.arange(j + 1) % 2 == 0, 1.0, -1.0)
+    return float(np.sum(signs * table[k, :] * table[l, :]))
 
 # the doubled transform at j=3, p=1/2: every entry is 0, +-1, +-i or -i*sqrt(2)
 DOUBLED_J3_HALF = np.array([
@@ -38,6 +47,24 @@ def test_quarter_turn_diagonal():
     assert np.array_equal(J_matrix(3), np.diag([-1j, 1, 1j, -1, -1j, 1, 1j]))
     j4 = np.linalg.matrix_power(J_matrix(5), 4)
     assert np.array_equal(j4, np.eye(11, dtype=complex))
+
+
+@pytest.mark.parametrize("j", [50, 1000])
+def test_quarter_turn_diagonal_is_exact_at_large_j(j):
+    # numpy's i^r is rounded from r = 100 on; the phases are exact.
+    roots = np.array([-1j, 1.0, 1j, -1.0])
+    assert np.array_equal(np.diag(J_matrix(j)), roots[np.arange(2 * j + 1) % 4])
+
+
+@pytest.mark.parametrize("p", [0.1, 0.3, 0.5, 0.9])
+def test_spectral_square_is_the_mirror_at_large_j(p):
+    # F^2 = -R, R the antidiagonal mirror. With phases i^r rounded from
+    # r = 100 on the spectral route missed it by 3.6-6.1e-14 at j = 250;
+    # with exact phases it misses by under 1e-14.
+    j = 250
+    f = fourier_spectral(ModelParams(j, p)).data
+    mirror = np.eye(2 * j + 1)[::-1]
+    assert np.max(np.abs(f @ f + mirror)) <= 2e-14
 
 
 def test_spectral_route_j1_half():
@@ -69,14 +96,12 @@ def test_overlap_closed_values():
 
 
 def test_overlap_sum_route_matches_brute_force():
-    from superosc import krawtchouk_normalized
-
     j, p, k, l = 4, 0.3, 2, 1
     brute = sum(
         (-1) ** n * krawtchouk_normalized(k, n, p, j) * krawtchouk_normalized(l, n, p, j)
         for n in range(j + 1)
     )
-    assert S_sum(k, l, p, j) == pytest.approx(brute, abs=1e-14)
+    assert S_closed(k, l, p, j) == pytest.approx(brute, abs=1e-14)
 
 
 @given(
@@ -88,22 +113,19 @@ def test_overlap_sum_route_matches_brute_force():
 def test_overlap_routes_agree(j, data, p):
     k = data.draw(st.integers(min_value=0, max_value=j))
     l = data.draw(st.integers(min_value=0, max_value=j))
-    assert S_closed(k, l, p, j) == pytest.approx(S_sum(k, l, p, j), abs=1e-10)
+    assert S_closed(k, l, p, j) == pytest.approx(_S_sum(k, l, p, j), abs=1e-10)
 
 
 def test_overlap_at_half_is_the_anti_identity():
     for j in range(41):
         table = fourier._S_table(0.5, j)
         assert np.array_equal(table, np.eye(j + 1)[::-1])
-        sums = np.array([[S_sum(k, l, 0.5, j) for l in range(j + 1)] for k in range(j + 1)])
+        sums = np.array([[_S_sum(k, l, 0.5, j) for l in range(j + 1)] for k in range(j + 1)])
         assert np.max(np.abs(table - sums)) <= 1e-12
 
 
-def test_closed_overlap_at_half_never_uses_the_sum(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("S_closed fell back to S_sum")
-
-    monkeypatch.setattr(fourier, "S_sum", refuse)
+def test_closed_overlap_at_half_never_uses_the_sum():
+    # Exact zeros and ones: a sum over float tables would leave rounding.
     for j in range(9):
         for k in range(j + 1):
             for l in range(j + 1):
@@ -180,7 +202,7 @@ def test_analytic_route_uses_no_big_integers(monkeypatch):
 
 def test_overlap_domain_checks():
     with pytest.raises(ValueError):
-        S_sum(4, 0, 0.5, 3)
+        S_closed(4, 0, 0.5, 3)
     with pytest.raises(ValueError):
         S_closed(0, 0, 1.0, 3)
 
@@ -248,6 +270,23 @@ def test_eigensystem_report_passes():
     report, counts = fourier_eigensystem_report(ModelParams(j=8, p=0.3))
     assert report.passed, report.failures()
     assert counts == expected_multiplicities(8)
+
+
+@pytest.mark.parametrize("where, wrong", [(0, 1j), (7, 1.0), (16, -1.0 + 1e-15j)])
+def test_multiplicity_check_catches_one_wrong_phase(monkeypatch, where, wrong):
+    name = "j=8 p=0.3 multiplicity parity rule"
+    report, _ = fourier_eigensystem_report(ModelParams(j=8, p=0.3))
+    assert [c.passed for c in report.checks if c.name == name] == [True]
+    quarter_turns = fourier._quarter_turns
+
+    def one_wrong(dim):
+        phases = quarter_turns(dim).copy()
+        phases[where] = wrong
+        return phases
+
+    monkeypatch.setattr(fourier, "_quarter_turns", one_wrong)
+    report, _ = fourier_eigensystem_report(ModelParams(j=8, p=0.3))
+    assert [c.passed for c in report.checks if c.name == name] == [False]
 
 
 def test_entry_accessor_bounds():

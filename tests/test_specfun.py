@@ -11,100 +11,112 @@ from scipy.special import gammaln
 from superosc import fourier, specfun, wavefunctions
 from superosc.oracle import krawtchouk_exact
 from superosc.specfun import (
-    dual_hahn,
     dual_hahn_normalized,
     dual_hahn_table,
-    hyp2f1_terminating,
-    krawtchouk,
-    krawtchouk_norm,
     krawtchouk_normalized,
     krawtchouk_shift_table,
     krawtchouk_table,
-    krawtchouk_weight,
-    laguerre,
     paraboson_even_wavefunction,
 )
 
 
+def _krawtchouk_series(n: int, x: int, p: float, N: int) -> float:
+    # K_n(x; p, N) = 2F1(-n, -x; -N; 1/p) as its float series, term by term;
+    # reliable where the terms do not dwarf the sum (small N here).
+    total = term = 1.0
+    for s in range(min(n, x)):
+        term *= (-n + s) * (-x + s) / ((-N + s) * (s + 1) * p)
+        total += term
+    return total
+
+
+def _krawtchouk_log_weight(x: int, p: float, N: int) -> float:
+    # log of the binomial weight C(N, x) p^x (1-p)^(N-x)
+    return (gammaln(N + 1) - gammaln(x + 1) - gammaln(N - x + 1)
+            + x * math.log(p) + (N - x) * math.log1p(-p))
+
+
+def _krawtchouk_log_norm(n: int, p: float, N: int) -> float:
+    # log of the squared norm n!(N-n)!/N! ((1-p)/p)^n
+    return (gammaln(n + 1) + gammaln(N - n + 1) - gammaln(N + 1)
+            + n * (math.log1p(-p) - math.log(p)))
+
+
 def test_hyp2f1_degree_zero_is_one():
-    assert hyp2f1_terminating(0, -5.0, -7.0, 2.0) == 1.0
+    for x, N, P, Q in ((5, 7, 2, 1), (0, 0, 3, 7), (3, 9, 10, 9)):
+        assert specfun._hyp2f1_rational(x, N, P, Q)[0] == 1
 
 
 def test_hyp2f1_degree_one_closed_form():
-    for x, p, N in ((1, 0.5, 1), (2, 0.3, 4), (0, 0.7, 9)):
-        got = hyp2f1_terminating(1, -float(x), -float(N), 1.0 / p)
-        assert got == pytest.approx(1.0 - x / (p * N), abs=1e-15)
+    # 2F1(-1, -x; -N; P/Q) = 1 - xP/(QN), with A[1] over the scale QN
+    for x, P, Q, N in ((1, 2, 1, 1), (2, 10, 3, 4), (0, 10, 7, 9)):
+        A = specfun._hyp2f1_rational(x, N, P, Q)
+        assert Fraction(A[1], Q * N) == 1 - Fraction(x * P, Q * N)
 
 
 def test_hyp2f1_zero_numerator_truncates():
-    # b=0 kills every s >= 1 term before the denominator can vanish
-    assert hyp2f1_terminating(3, 0.0, -3.0, 1.0) == 1.0
-
-
-def test_hyp2f1_rejects_negative_degree():
-    with pytest.raises(ValueError):
-        hyp2f1_terminating(-1, 1.0, 1.0, 1.0)
-
-
-def test_hyp2f1_reports_vanishing_denominator():
-    with pytest.raises(ValueError, match="denominator vanished"):
-        hyp2f1_terminating(3, -5.0, -2.0, 1.0)
+    # x = 0 kills every s >= 1 term: the 2F1 is 1 at every degree, so A[k]
+    # is its scale Q^k N!/(N-k)!
+    for N, P, Q in ((3, 1, 1), (9, 10, 3)):
+        assert specfun._hyp2f1_rational(0, N, P, Q) == _hyp2f1_scale(N, Q)
 
 
 def test_krawtchouk_degree_zero():
+    # K_0 = 1, so row 0 of the table is sqrt(w(x))
+    table = krawtchouk_table(0.3, 5)
     for x in range(6):
-        assert krawtchouk(0, x, 0.3, 5) == 1.0
+        assert table[0, x] == pytest.approx(math.sqrt(comb(5, x) * 0.3**x * 0.7 ** (5 - x)),
+                                            rel=1e-12)
 
 
 def test_krawtchouk_at_origin():
+    # K_n(0) = 1, so column 0 is sqrt(w(0)/h(n)) = sqrt(C(N, n) p^n (1-p)^(N-n))
+    table = krawtchouk_table(0.7, 5)
     for n in range(6):
-        assert krawtchouk(n, 0, 0.7, 5) == 1.0
+        assert table[n, 0] == pytest.approx(math.sqrt(comb(5, n) * 0.7**n * 0.3 ** (5 - n)),
+                                            rel=1e-12)
 
 
 def test_krawtchouk_hand_value():
-    # 1 - x/(pN) at x=1, p=1/2, N=1
-    assert krawtchouk(1, 1, 0.5, 1) == -1.0
+    # K_1(1; 1/2, 1) = 1 - x/(pN) = -1, with w(1) = 1/2 and h(1) = 1
+    assert krawtchouk_normalized(1, 1, 0.5, 1) == pytest.approx(-1 / math.sqrt(2), rel=1e-14)
 
 
 def test_krawtchouk_domain_checks():
     with pytest.raises(ValueError):
-        krawtchouk(4, 1, 0.5, 3)
+        krawtchouk_normalized(4, 1, 0.5, 3)
     with pytest.raises(ValueError):
-        krawtchouk(1, 1, 0.0, 3)
+        krawtchouk_normalized(1, 1, 0.0, 3)
     with pytest.raises(ValueError):
-        krawtchouk(1, 1, 1.0, 3)
+        krawtchouk_normalized(1, 1, 1.0, 3)
 
 
 @given(
     N=st.integers(min_value=0, max_value=25),
     data=st.data(),
-    p=st.floats(min_value=0.05, max_value=0.95),
+    p_den=st.integers(min_value=2, max_value=20),
 )
 @settings(deadline=None)
-def test_krawtchouk_degree_grid_symmetry(N, data, p):
+def test_krawtchouk_degree_grid_symmetry(N, data, p_den):
+    # K_n(x) = K_x(n), exactly, through the integer recurrence at p = p_num/p_den
     n = data.draw(st.integers(min_value=0, max_value=N))
     x = data.draw(st.integers(min_value=0, max_value=N))
-    a = krawtchouk(n, x, p, N)
-    b = krawtchouk(x, n, p, N)
-    assert a == pytest.approx(b, rel=1e-9, abs=1e-9)
+    p_num = data.draw(st.integers(min_value=1, max_value=p_den - 1))
+    scale = _hyp2f1_scale(N, p_num)
+    assert (Fraction(specfun._hyp2f1_rational(x, N, p_den, p_num)[n], scale[n])
+            == Fraction(specfun._hyp2f1_rational(n, N, p_den, p_num)[x], scale[x]))
 
 
 def test_weight_at_zero():
     for p, N in ((0.5, 2), (0.3, 7)):
-        assert krawtchouk_weight(0, p, N) == pytest.approx((1 - p) ** N, rel=1e-14)
-
-
-def test_norm_degree_zero():
-    assert krawtchouk_norm(0, 0.42, 9) == pytest.approx(1.0, rel=1e-14)
+        assert krawtchouk_table(p, N)[0, 0] ** 2 == pytest.approx((1 - p) ** N, rel=1e-12)
 
 
 def test_weighted_sum_matches_norm():
-    # brute-force 3-term sum at p=1/2, N=2
-    total = sum(
-        krawtchouk_weight(x, 0.5, 2) * krawtchouk(1, x, 0.5, 2) ** 2 for x in range(3)
-    )
-    assert total == pytest.approx(0.5, rel=1e-14)
-    assert krawtchouk_norm(1, 0.5, 2) == pytest.approx(0.5, rel=1e-14)
+    # sum_x w(x) K_1(x)^2 = h(1) = 1/2 at p = 1/2, N = 2, in exact arithmetic
+    total = sum(Fraction(comb(2, x), 4) * Fraction(specfun._hyp2f1_rational(x, 2, 2, 1)[1], 2) ** 2
+                for x in range(3))
+    assert total == Fraction(1, 2)
 
 
 def test_normalized_corner_values():
@@ -116,9 +128,8 @@ def test_normalized_matches_weight_norm_product():
     p, N = 0.35, 9
     for n in range(N + 1):
         for x in range(N + 1):
-            direct = math.sqrt(
-                krawtchouk_weight(x, p, N) / krawtchouk_norm(n, p, N)
-            ) * krawtchouk(n, x, p, N)
+            direct = math.exp(0.5 * (_krawtchouk_log_weight(x, p, N)
+                                     - _krawtchouk_log_norm(n, p, N))) * _krawtchouk_series(n, x, p, N)
             assert krawtchouk_normalized(n, x, p, N) == pytest.approx(
                 direct, rel=1e-9, abs=1e-12
             )
@@ -186,11 +197,29 @@ def test_shift_table_validates_and_is_readonly():
         table[0, 0] = 0.0
 
 
+def _dual_hahn_series(n: int, x: int, gamma: float, delta: float, N: int) -> float:
+    # R_n(lambda(x)) = 3F2(-n, -x, x+gamma+delta+1; -N, gamma+1; 1) as its
+    # float series; reliable at small degree.
+    total = term = 1.0
+    for s in range(min(n, x)):
+        term *= ((-n + s) * (-x + s) * (x + gamma + delta + 1 + s)
+                 / ((-N + s) * (gamma + 1 + s) * (s + 1)))
+        total += term
+    return total
+
+
 def test_dual_hahn_degree_zero_and_origin():
-    for x in range(5):
-        assert dual_hahn(0, x, 1.5, 2.5, 6) == 1.0
-    for n in range(4):
-        assert dual_hahn(n, 0, 1.5, 2.5, 6) == 1.0
+    # R_0 = 1 and R_n(lambda(0)) = 1: row 0 and column 0 are sqrt(w(x)/h(n))
+    gamma, delta, N = 1.5, 2.5, 6
+    table = dual_hahn_table(gamma, delta, N)
+    for x in range(N + 1):
+        assert table[0, x] == pytest.approx(math.exp(0.5 * (
+            _dual_hahn_log_weight(x, gamma, delta, N) - _dual_hahn_log_norm(0, gamma, delta, N))),
+            rel=1e-12)
+    for n in range(N + 1):
+        assert table[n, 0] == pytest.approx(math.exp(0.5 * (
+            _dual_hahn_log_weight(0, gamma, delta, N) - _dual_hahn_log_norm(n, gamma, delta, N))),
+            rel=1e-12)
 
 
 def test_dual_hahn_table_orthogonal():
@@ -217,7 +246,7 @@ def test_dual_hahn_normalized_matches_series_at_small_degree():
     gamma, delta, N = 2.0, 3.0, 10
     for n in range(3):
         for x in range(N + 1):
-            direct = dual_hahn(n, x, gamma, delta, N) * math.exp(
+            direct = _dual_hahn_series(n, x, gamma, delta, N) * math.exp(
                 0.5 * (_dual_hahn_log_weight(x, gamma, delta, N)
                        - _dual_hahn_log_norm(n, gamma, delta, N))
             )
@@ -238,33 +267,28 @@ def test_large_alpha_collapses_to_krawtchouk():
 
 
 def test_laguerre_low_degrees():
-    assert laguerre(0, 1.7, 3.2) == 1.0
+    # L_n^(a)(x) = ((a+1)_n / n!) 1F1(-n; a+1; x): L_0 = 1, L_1 = a + 1 - x
+    assert specfun._hyp1f1_series(0, 1.7, 3.2) == 1.0
     for a, x in ((0.5, 0.0), (2.0, 1.5), (7.3, 4.0)):
-        assert laguerre(1, a, x) == pytest.approx(a + 1 - x, rel=1e-13)
+        assert (a + 1) * specfun._hyp1f1_series(1, a, x) == pytest.approx(a + 1 - x, rel=1e-13)
 
 
 def test_laguerre_kummer_identity():
-    # 1F1(-n; 2pa+1; x^2) = n!/(2pa+1)_n L_n^(2pa)(x^2)
+    # 1F1(-n; 2pa+1; x^2) = n!/(2pa+1)_n L_n^(2pa)(x^2), with L as its
+    # explicit sum (-y)^m/m! (m+a+1)_(n-m)/(n-m)! in exact rationals
     p, alpha = 0.4, 3.0
     a = 2 * p * alpha
+    fa = Fraction(a)
     for n in range(6):
         for x in (0.3, 1.1, 2.7):
-            series = 1.0
-            term = 1.0
-            for s in range(n):
-                term *= (-n + s) / ((a + 1 + s) * (s + 1)) * x * x
-                series += term
-            poch = math.exp(math.lgamma(a + 1 + n) - math.lgamma(a + 1))
-            assert series == pytest.approx(
-                math.factorial(n) / poch * laguerre(n, a, x * x), rel=1e-12
+            y = Fraction(x * x)
+            laguerre = sum((-y) ** m / factorial(m) / factorial(n - m)
+                           * math.prod(fa + i for i in range(m + 1, n + 1))
+                           for m in range(n + 1))
+            poch = math.prod(fa + i for i in range(1, n + 1))
+            assert specfun._hyp1f1_series(n, a, x * x) == pytest.approx(
+                float(factorial(n) / poch * laguerre), rel=1e-12
             )
-
-
-def test_laguerre_domain_checks():
-    with pytest.raises(ValueError):
-        laguerre(-1, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        laguerre(2, -1.0, 0.0)
 
 
 def test_paraboson_vanishes_at_origin():

@@ -55,7 +55,7 @@ def test_p_to_one_convergence_check_catches_a_wrong_limit(monkeypatch, wrong, fa
 # run_suite(2, (0.5,)): a check added, dropped, renamed, moved or given a
 # new tolerance changes these; update them together with the suite.
 PINNED_CHECK_COUNT = 114
-PINNED_CHECK_SHA256 = "b2f915f8c6111ef8fd20b740f8b3a59a71dd50c20564ab9883e5839a89eb9976"
+PINNED_CHECK_SHA256 = "18866d1d727ff9283895dcf247edc17f5c2e548bc23c303f56762864a9d3f336"
 
 
 def test_verify_check_list_is_pinned():
@@ -107,17 +107,29 @@ def test_integer_shift_identities_catch_one_wrong_value(monkeypatch, where):
     assert _check(report, "shift identities exact (j <= 8)").residual >= 1.0
 
 
-def test_memoized_float_shift_identity_catches_one_wrong_value(monkeypatch):
-    krawtchouk = suite.krawtchouk
+# (x, N, P, Q, k): a mid-grid value at p = 1/2, the last degree of a corner
+# at p = 9/10, j = 30, and a degree-0 value of the (j-1) family, which only
+# the k = 1 identities read.
+@pytest.mark.parametrize("where", [(5, 17, 2, 1, 3), (30, 30, 10, 9, 30), (0, 16, 10, 1, 0)],
+                         ids=["mid-grid", "corner", "degree-0"])
+def test_integer_recurrence_shift_identity_catches_one_wrong_value(monkeypatch, where):
+    hyp2f1_rational = suite._hyp2f1_rational
 
-    def perturbed(n, x, p, N):
-        value = krawtchouk(n, x, p, N)
-        return value + 1e-6 if (n, x, p, N) == (3, 5, 0.5, 17) else value
+    def perturbed(x, N, P, Q, top=None):
+        values = hyp2f1_rational(x, N, P, Q, top)
+        if (x, N, P, Q) == where[:4]:
+            values = values.copy()
+            values[where[4]] += 1
+        return values
 
-    monkeypatch.setattr(suite, "krawtchouk", perturbed)
+    name = "forward shift identity, integer recurrence (j <= 30)"
     report = VerificationReport()
     suite._fixed_checks(report, 1e-10)
-    assert not _check(report, "forward shift identity, rounding-scaled (j <= 30)").passed
+    assert _check(report, name).passed
+    monkeypatch.setattr(suite, "_hyp2f1_rational", perturbed)
+    report = VerificationReport()
+    suite._fixed_checks(report, 1e-10)
+    assert _check(report, name).residual >= 1.0
 
 
 @pytest.mark.parametrize("wrong", [
