@@ -10,7 +10,9 @@ Floats are printed with 17 significant digits (round-trip safe); complex
 values become [re, im] pairs in JSON and paired columns in CSV. Exit codes:
 0 success, 1 verification failure, 2 usage error, 3 domain error. For
 ``verify``, the environment variable SUPEROSC_TOL overrides the default
-check tolerance; an explicit --tol flag wins over both.
+check tolerance; an explicit --tol flag wins over both. Either must be
+finite and positive. Each command refuses, before it allocates anything, a
+j whose estimated peak memory is over 2 GiB.
 """
 
 from __future__ import annotations
@@ -27,30 +29,39 @@ from .suite import DEFAULT_P_LIST, run_suite
 from .wavefunctions import momentum_wavefunction, paraboson_limit_table, position_wavefunction
 
 _DEFAULT_TOL = 1e-10
-# Largest array a command may build: a dense (2j+1)x(2j+1) complex matrix
-# up to j = 5792, a (j+1)x(j+1) float table up to j = 16383.
-_DENSE_BYTES_MAX = 2 * 2**30
-# Peak bytes per printed value of a spectrum (the array, its Python floats
-# and their text; about 70 measured), so a spectrum obeys the same limit
-# up to j = 8388607.
-_TEXT_BYTES_PER_VALUE = 128
+# Largest estimated peak, in bytes, of one command.
+_PEAK_BYTES_MAX = 2 * 2**30
 
 
-def _check_size(j: int, nbytes: int, what: str) -> None:
-    # Refuse a j whose largest array cannot fit, before any is allocated.
-    if nbytes > _DENSE_BYTES_MAX:
-        raise ValueError(f"j={j} needs {nbytes} bytes per {what}, "
-                         f"over the {_DENSE_BYTES_MAX}-byte limit")
+def _estimated_peak(args: argparse.Namespace) -> int:
+    # Bytes per entry times the entries a command builds or prints, plus
+    # 1 MiB that any command may hold at small j. Each figure is a
+    # tracemalloc peak at j = 300, printed text included, rounded up. Verify
+    # adds to the peak of its largest sweep point 6 MiB for its fixed checks
+    # and the two Krawtchouk table caches, up to 2 x 64 tables of (j+1)^2
+    # floats kept from the sweep points before it.
+    j = max(args.j_max if args.command == "verify" else args.j, 0)
+    dim, table = 2 * j + 1, (j + 1) ** 2  # grid size, polynomial-table entries
+    if args.command == "spectrum":
+        nbytes = 128 * dim
+    elif args.command == "wavefunction":
+        nbytes = 32 * table + 160 * len(args.n) * dim
+    elif args.command == "limits":
+        nbytes = 32 * table
+    elif args.command == "fourier":
+        nbytes = 160 * dim**2
+    else:
+        nbytes = 6 * 2**20 + 200 * dim**2 + 1024 * table
+    return 2**20 + nbytes
 
 
-def _check_dense_size(j: int) -> None:
-    _check_size(j, 16 * (2 * j + 1) ** 2, "dense matrix")
-
-
-def _check_table_size(j: int) -> None:
-    # A (j+1)x(j+1) float polynomial table, the largest array of a command
-    # that reads table columns.
-    _check_size(j, 8 * (j + 1) ** 2, "polynomial table")
+def _check_peak(args: argparse.Namespace) -> None:
+    # Refuse a command whose estimated peak is over the limit, before it
+    # allocates anything.
+    nbytes = _estimated_peak(args)
+    if nbytes > _PEAK_BYTES_MAX:
+        raise ValueError(f"{args.command} would need about {nbytes} bytes, "
+                         f"over the {_PEAK_BYTES_MAX}-byte limit")
 
 
 def _fmt(value: float) -> str:
@@ -93,18 +104,23 @@ def _json(value) -> str:
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
-def _levels(text: str) -> list[int]:
+def _parse_list(text: str, convert, what: str) -> list:
+    # A comma-separated, non-empty list; empty items are skipped.
     try:
-        return [int(part) for part in text.split(",") if part != ""]
+        values = [convert(part) for part in text.split(",") if part != ""]
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"invalid level list {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"invalid {what} list {text!r}") from exc
+    if not values:
+        raise argparse.ArgumentTypeError(f"empty {what} list {text!r}")
+    return values
+
+
+def _levels(text: str) -> list[int]:
+    return _parse_list(text, int, "level")
 
 
 def _p_values(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(part) for part in text.split(",") if part != "")
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"invalid p list {text!r}") from exc
+    return tuple(_parse_list(text, float, "p"))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -159,7 +175,7 @@ def _common_output_flags(sub: argparse.ArgumentParser) -> None:
 def cmd_spectrum(args: argparse.Namespace) -> tuple[int, str]:
     if args.j < 0:
         raise ValueError(f"need j >= 0, got j={args.j}")
-    _check_size(args.j, _TEXT_BYTES_PER_VALUE * (2 * args.j + 1), "value column")
+    _check_peak(args)
     if args.observable == "H":
         # The Hamiltonian's diagonal 2j - r + 1/2, sorted: exact half-integers.
         values = np.arange(2 * args.j + 1) + 0.5
@@ -192,7 +208,7 @@ def _wave_json(table) -> dict:
 
 def cmd_wavefunction(args: argparse.Namespace) -> tuple[int, str]:
     # Each row is read from a Krawtchouk table, with no dense matrix.
-    _check_table_size(args.j)
+    _check_peak(args)
     params = ModelParams(args.j, args.p)
     build = position_wavefunction if args.kind == "position" else momentum_wavefunction
     tables = [build(params, n) for n in args.n]
@@ -205,7 +221,7 @@ def cmd_wavefunction(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def cmd_fourier(args: argparse.Namespace) -> tuple[int, str]:
-    _check_dense_size(args.j)
+    _check_peak(args)
     params = ModelParams(args.j, args.p)
     matrix = (fourier_analytic(params) if args.method == "analytic"
               else fourier_spectral(params)).data
@@ -222,7 +238,7 @@ def cmd_fourier(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
-    _check_dense_size(args.j_max)
+    _check_peak(args)
     tol = args.tol
     if tol is None:
         tol = float(os.environ.get("SUPEROSC_TOL", _DEFAULT_TOL))
@@ -236,7 +252,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
 
 def cmd_limits(args: argparse.Namespace) -> tuple[int, str]:
     # The dual Hahn and Krawtchouk tables behind each row are (j+1)x(j+1).
-    _check_table_size(args.j)
+    _check_peak(args)
     grid_count = min(15, args.j)
     rows = paraboson_limit_table(args.j, args.p, args.alpha, args.n, grid_count)
     if args.format == "json":

@@ -1,9 +1,10 @@
 """Discrete Fourier transform matrix of the finite oscillator.
 
-The transform F maps position wave vectors to momentum wave vectors and is
-built by two independent routes: spectrally as U^T J U from the position
-eigenvector matrix and the diagonal fourth-root-of-unity matrix J, and
-entry-wise from the overlaps S(k, l; p, j). The overlaps are themselves
+The transform F maps position wave vectors to momentum ones, V = J U = U F.
+It is built by two independent routes: spectrally as U^T J U from the
+position eigenvector matrix and the diagonal matrix J of the quarter-turn
+rule in :mod:`superosc.oscillator`, and entry-wise from the overlaps
+S(k, l; p, j), which carry no phase table. The overlaps are themselves
 normalized Krawtchouk functions at w = 4p(1-p), so the entry-wise route
 reads Krawtchouk tables at w where the spectral route reads them at p.
 The closed 2F1 form of each overlap is also evaluated in exact integers
@@ -23,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .oscillator import ModelParams, analytic_U
+from .oscillator import _INV_SQRT2, ModelParams, _quarter_turns, analytic_U
 from .report import VerificationReport
 from .specfun import (
     _CACHE_SIZE,
@@ -44,9 +45,6 @@ __all__ = [
     "expected_multiplicities",
     "fourier_eigensystem_report",
 ]
-
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
-
 
 @dataclass(frozen=True)
 class FourierMatrix:
@@ -79,14 +77,8 @@ class EigenvalueMultiplicity(NamedTuple):
     minus_one: int
 
 
-def _quarter_turns(dim: int) -> np.ndarray:
-    # The diagonal -i * i^r, r = 0..dim-1, exact: numpy rounds i^r itself
-    # from r = 100 on, so the power is taken of r mod 4.
-    return -1j * 1j ** (np.arange(dim) % 4)
-
-
 def J_matrix(j: int) -> np.ndarray:
-    """Diagonal matrix with entries -i * i^r, r = 0..2j; fourth power is I."""
+    """Diagonal J of the quarter-turn phases -i * i^r, r = 0..2j: V = J U, J^4 = I."""
     if j < 0:
         raise ValueError(f"need j >= 0, got j={j}")
     return np.diag(_quarter_turns(2 * j + 1))

@@ -187,14 +187,15 @@ def _level_row(params: ModelParams, n: int) -> np.ndarray:
     return row[0]
 
 
-# Phase -i * i^r of row r, by r mod 4: -i(-1)^k on row 2k, (-1)^k on row
-# 2k+1. Every zero part is +0.0 (the literal -1j would carry -0.0).
-_ROW_PHASES = np.array([complex(0.0, -1.0), 1.0, 1j, -1.0])
+# The quarter-turn rule: phase -i * i^r of row r of V = J U, by r mod 4:
+# -i(-1)^k on row 2k, (-1)^k on row 2k+1. Every zero part is +0.0 (the
+# literal -1j would carry -0.0).
+_QUARTER_TURNS = np.array([complex(0.0, -1.0), 1.0, 1j, -1.0])
 
 
-def _row_phases(j: int) -> np.ndarray:
-    # The phases of rows 0..2j.
-    return _ROW_PHASES[np.arange(2 * j + 1) % 4]
+def _quarter_turns(dim: int) -> np.ndarray:
+    # The diagonal of J: the phases of rows 0..dim-1.
+    return _QUARTER_TURNS[np.arange(dim) % 4]
 
 
 def analytic_V(params: ModelParams) -> np.ndarray:
@@ -202,13 +203,14 @@ def analytic_V(params: ModelParams) -> np.ndarray:
 
     V is the position eigenvector matrix with row 2k multiplied by -i(-1)^k
     and row 2k+1 by (-1)^k, i.e. V = J U for the diagonal fourth-root-of-unity
-    matrix J. V is unitary and V^T V is the anti-diagonal of -1.
+    matrix J, and V = U F for the Fourier matrix F. V is unitary and V^T V is
+    the anti-diagonal of -1.
 
     Its complex conjugate diagonalizes the momentum matrix:
     ``M_p conj(V) = conj(V) D`` with D the position spectrum, equivalently
     ``M_p V = -V D`` (conjugation by J gives J* M_p J = -M_q).
     """
-    return _row_phases(params.j)[:, None] * analytic_U(params)
+    return _quarter_turns(params.dim)[:, None] * analytic_U(params)
 
 
 def sign_variant(params: ModelParams) -> tuple[SymTridiagonal, np.ndarray]:

@@ -201,8 +201,9 @@ def dual_hahn_table(gamma: float, delta: float, N: int) -> np.ndarray:
     """
     if N < 0:
         raise ValueError(f"need N >= 0, got N={N}")
-    if gamma <= -1 or delta <= -1:
-        raise ValueError(f"need gamma, delta > -1, got ({gamma}, {delta})")
+    for name, value in (("gamma", gamma), ("delta", delta)):
+        if not (math.isfinite(value) and value > -1):
+            raise ValueError(f"need a finite {name} > -1, got {name}={value}")
     return _dual_hahn_table(float(gamma), float(delta), int(N))
 
 

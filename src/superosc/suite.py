@@ -9,8 +9,9 @@ endpoint limits, shift identities and the paraboson limits.
 One deliberate nuance: V as constructed satisfies M_p conj(V) = conj(V) D,
 not M_p V = V D - the row phases +-i select the conjugate. The suite
 verifies the diagonalization through the conjugated form (together with
-unitarity, V = J U, and the anti-diagonal Gram identity), so a passing run
-means the momentum eigensystem is genuinely correct.
+unitarity, V = U F, and the anti-diagonal Gram identity), so a passing run
+means the momentum eigensystem is genuinely correct. V = U F holds V's
+row phases against the entry-wise Fourier matrix, which never reads them.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from functools import cache
 import numpy as np
 
 from . import representation
-from .fourier import J_matrix, _S_krawtchouk, _S_table, fourier_eigensystem_report
+from .fourier import _S_krawtchouk, _S_table, fourier_analytic, fourier_eigensystem_report
 from .oracle import hermitian_tridiag_eigenvalues, krawtchouk_exact, tridiag_eigen
 from .oscillator import (
     ModelParams,
@@ -41,7 +42,12 @@ from .specfun import (
     krawtchouk_shift_table,
     krawtchouk_table,
 )
-from .wavefunctions import node_count, paraboson_limit_table, position_wavefunction_closed
+from .wavefunctions import (
+    apply_fourier,
+    node_count,
+    paraboson_limit_table,
+    position_wavefunction_closed,
+)
 
 __all__ = ["run_suite", "DEFAULT_P_LIST"]
 
@@ -66,7 +72,8 @@ def _sweep_checks(report: VerificationReport, j: int, p: float, tol: float) -> N
     spectrum = position_spectrum(j)
     u = analytic_U(params)
     v = analytic_V(params)
-    mq = position_matrix(params).dense()
+    band = position_matrix(params)
+    mq = band.dense()
     mp = momentum_matrix(params)
     identity = np.eye(dim)
 
@@ -86,16 +93,17 @@ def _sweep_checks(report: VerificationReport, j: int, p: float, tol: float) -> N
                float(np.max(np.abs(mp @ v.conj() - v.conj() * spectrum[None, :]))), tol)
     report.add(f"{label} momentum eigenvectors unitary",
                float(np.max(np.abs(v.conj().T @ v - identity))), tol)
-    report.add(f"{label} V = J U",
-               float(np.max(np.abs(v - J_matrix(j) @ u))), tol)
+    report.add(f"{label} V = U F",
+               float(np.max(np.abs(v - apply_fourier(u, fourier_analytic(params))))), tol)
     report.add(f"{label} V^T V anti-diagonal",
                float(np.max(np.abs(v.T @ v - _antidiagonal(dim)))), tol)
 
-    hamiltonian = hamiltonian_matrix(j)
+    # H is diagonal: H A - A H scales A's rows and columns by its diagonal.
+    h = np.diagonal(hamiltonian_matrix(j))
     report.add(f"{label} Heisenberg position equation",
-               float(np.max(np.abs(hamiltonian @ mq - mq @ hamiltonian + 1j * mp))), tol)
+               float(np.max(np.abs(h[:, None] * mq - mq * h[None, :] + 1j * mp))), tol)
     report.add(f"{label} Heisenberg momentum equation",
-               float(np.max(np.abs(hamiltonian @ mp - mp @ hamiltonian - 1j * mq))), tol)
+               float(np.max(np.abs(h[:, None] * mp - mp * h[None, :] - 1j * mq))), tol)
 
     variant, u_variant = sign_variant(params)
     report.add(f"{label} sign variant eigen-equation",
@@ -139,7 +147,7 @@ def _sweep_checks(report: VerificationReport, j: int, p: float, tol: float) -> N
                           for table, degree in zip(_S_krawtchouk(p, j), (j, j - 1)))
         report.add(f"{label} S exact vs Krawtchouk(4p(1-p))", overlap_dev, tol)
 
-    oracle_q = tridiag_eigen(position_matrix(params).offdiag, np.zeros(dim))
+    oracle_q = tridiag_eigen(band.offdiag, np.zeros(dim))
     report.add(f"{label} oracle position eigenvalues",
                float(np.max(np.abs(oracle_q.eigenvalues - spectrum))), 1e-9)
     aligned = oracle_q.eigenvectors * np.where(
@@ -256,6 +264,10 @@ def run_suite(j_max: int = 10, p_list: tuple[float, ...] = DEFAULT_P_LIST,
     """
     if j_max < 1:
         raise ValueError(f"need j_max >= 1, got {j_max}")
+    if not p_list:
+        raise ValueError("need at least one p in p_list")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"need a finite tol > 0, got tol={tol}")
     for p in p_list:
         if not 0.0 < p < 1.0:
             raise ValueError(f"need 0 < p < 1 throughout p_list, got {p}")

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .fourier import FourierMatrix
-from .oscillator import _ROW_PHASES, ModelParams, _level_row, position_spectrum
+from .oscillator import _INV_SQRT2, _QUARTER_TURNS, ModelParams, _level_row, position_spectrum
 from .specfun import (
     _CACHE_SIZE,
     _hyp2f1_rational,
@@ -40,9 +40,6 @@ __all__ = [
     "node_count",
     "paraboson_limit_table",
 ]
-
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
-
 
 @dataclass(frozen=True)
 class WaveTable:
@@ -100,7 +97,7 @@ def momentum_wavefunction(params: ModelParams, n: int) -> WaveTable:
     """
     _check_level(params, n)
     return WaveTable("momentum", params.j, params.p, n, position_spectrum(params.j),
-                     _ROW_PHASES[n % 4] * _level_row(params, n))
+                     _QUARTER_TURNS[n % 4] * _level_row(params, n))
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -199,14 +196,15 @@ def paraboson_limit_table(j: int, p: float, alpha: float, n: int,
     Raises
     ------
     ValueError
-        If the request exhausts the grid (grid_count > j) or alpha <= 0.
+        If the request exhausts the grid (grid_count > j), or alpha is not
+        finite and positive.
     """
     if j < 1:
         raise ValueError(f"need j >= 1, got j={j}")
     if not 0.0 < p < 1.0:
         raise ValueError(f"need 0 < p < 1, got p={p}")
-    if alpha <= 0:
-        raise ValueError(f"need alpha > 0, got alpha={alpha}")
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"need a finite alpha > 0, got alpha={alpha}")
     if not 0 <= n <= j:
         raise ValueError(f"need 0 <= n <= j, got n={n}")
     if grid_count > j:

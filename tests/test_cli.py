@@ -17,7 +17,7 @@ from superosc import (
     paraboson_limit_table,
     position_spectrum,
 )
-from superosc import cli, fourier
+from superosc import cli, fourier, specfun, wavefunctions
 from superosc.cli import _floats, _fmt, _fmt_seq, _json, main
 
 
@@ -213,15 +213,26 @@ def test_domain_errors_exit_3(capsys):
     assert run(capsys, "limits", "--j", "0", "--p", "0.5", "--alpha", "10")[0] == 3
 
 
+# Each command at the first j whose estimated peak is over the limit.
+_FIRST_REFUSED = [
+    ("fourier", "--j", "1831", "--p", "0.3"),
+    ("verify", "--j-max", "1083"),
+    ("limits", "--j", "8189", "--p", "0.3", "--alpha", "10"),
+    ("wavefunction", "--j", "8185", "--p", "0.3"),
+    ("spectrum", "--j", "8384512"),
+]
+
+
 @pytest.mark.parametrize("argv", [
     ("fourier", "--j", "1000000000", "--p", "0.3"),
     ("wavefunction", "--j", "1000000000", "--p", "0.3"),
     ("verify", "--j-max", "1000000000"),
     ("limits", "--j", "1000000000", "--p", "0.3", "--alpha", "10"),
-    # The first j over each documented cap.
     ("limits", "--j", "16384", "--p", "0.3", "--alpha", "10"),
     ("wavefunction", "--j", "16384", "--p", "0.3"),
     ("spectrum", "--j", "8388608", "--observable", "H"),
+    # The first j over each command's estimated peak.
+    *_FIRST_REFUSED,
 ])
 def test_dense_size_cap_exits_3_without_allocating(capsys, argv):
     tracemalloc.start()
@@ -232,6 +243,75 @@ def test_dense_size_cap_exits_3_without_allocating(capsys, argv):
         tracemalloc.stop()
     assert code == 3 and out == "" and err.startswith("error:")
     assert peak < 2**20
+
+
+def _args(argv):
+    return cli._build_parser().parse_args(list(argv))
+
+
+@pytest.mark.parametrize("argv", _FIRST_REFUSED)
+def test_peak_cap_admits_the_j_below_the_first_refused(argv):
+    flag = argv.index("--j-max" if argv[0] == "verify" else "--j") + 1
+    below = argv[:flag] + (str(int(argv[flag]) - 1),) + argv[flag + 1:]
+    assert cli._estimated_peak(_args(argv)) > cli._PEAK_BYTES_MAX
+    assert cli._estimated_peak(_args(below)) <= cli._PEAK_BYTES_MAX
+
+
+def _clear_caches():
+    for cached in (specfun._krawtchouk_table, specfun._krawtchouk_shift_table,
+                   specfun._dual_hahn_table, fourier._S_table, wavefunctions._closed_row):
+        cached.cache_clear()
+
+
+# From cold caches, near the j of the estimate's figures where a run is
+# cheap. Fourier's figure is mostly its printed text, the same per entry at
+# any j; verify at this j_max measures its fixed checks.
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "--j", "20000", "--observable", "p"),
+    ("wavefunction", "--j", "300", "--p", "0.3", "--n", "1"),
+    ("wavefunction", "--j", "300", "--p", "0.3", "--kind", "momentum",
+     "--n", ",".join(map(str, range(0, 601, 6)))),
+    ("limits", "--j", "300", "--p", "0.3", "--alpha", "10", "--n", "2"),
+    ("fourier", "--j", "150", "--p", "0.3", "--method", "spectral"),
+    ("verify", "--j-max", "12", "--p-list", "0.5"),
+])
+def test_peak_is_at_most_the_estimate(capsys, argv):
+    _clear_caches()
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, *argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= cli._estimated_peak(_args(argv))
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--p-list", ","),
+    ("verify", "--p-list", ""),
+    ("wavefunction", "--j", "2", "--p", "0.5", "--n", ","),
+])
+def test_empty_lists_are_usage_errors(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert (code, out) == (2, "")
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-10"])
+def test_bad_tolerance_exits_3(capsys, monkeypatch, tol):
+    code, out, err = run(capsys, "verify", "--j-max", "1", f"--tol={tol}")
+    assert (code, out) == (3, "") and err.startswith("error:") and "tol" in err
+    monkeypatch.setenv("SUPEROSC_TOL", tol)
+    code, out, err = run(capsys, "verify", "--j-max", "1")
+    assert (code, out) == (3, "") and err.startswith("error:") and "tol" in err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("alpha", ["nan", "inf"])
+def test_non_finite_alpha_exits_3_with_one_error_line(capsys, alpha):
+    code, out, err = run(capsys, "limits", "--j", "20", "--p", "0.5", "--alpha", alpha)
+    assert (code, out) == (3, "")
+    assert err.splitlines() == [f"error: need a finite alpha > 0, got alpha={alpha}"]
 
 
 _EDGE_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
@@ -425,3 +505,42 @@ def test_analytic_fourier_output_is_near_the_exact_route(capsys, j, p):
     assert (code, err) == (0, "")
     exact = _exact_fourier(ModelParams(j, float(p))).data
     assert np.max(np.abs(_printed_matrix(out) - exact)) <= 1e-13
+
+
+# sha256 of `fourier --method spectral` and of `wavefunction --kind momentum`
+# (every level) CSV stdout. Both read the quarter-turn phases of
+# oscillator._QUARTER_TURNS, and these bytes pin them, zero signs included.
+# Unlike the exact-route hashes above they also depend on the eigensolver
+# and the BLAS product (x86-64, OpenBLAS).
+_PHASED_OUTPUT_SHA256 = {
+    ("fourier", 1, "0.3"): "e3c1071fdd843637e7e884c3b6ed497ad56ae12738a81a374871e42031311517",
+    ("fourier", 1, "0.5"): "47d91fdec403955b9cc3e35936afef5f2d0d79da90a1164eb008d425abd0d5af",
+    ("fourier", 1, "0.9"): "572a19f620f249cb8f5ae88742898cef83f983d441d81b38a8640bdc3a87bdc7",
+    ("fourier", 12, "0.3"): "12db52b5c9c42832058996da9f7df59c1e1795685a537f4b210979c90dcf795e",
+    ("fourier", 12, "0.5"): "0b7021a6766bb06a9b9177e10b40bdf89f575ffa874e711f97ce8401f6a3bbfe",
+    ("fourier", 12, "0.9"): "1a40ef6e67cfb9e36161fa636aef471fc0341fabbade9b8dc746d57b53e2be43",
+    ("fourier", 72, "0.3"): "fa7d1e700fc178e8de419c5d4b2306f6602fe2070e58519f9fbb38500132560a",
+    ("fourier", 72, "0.5"): "59a2fcc9ba4425c35ce2a27491b6e1d8141409f63834ceb138026d9c5e9d5db2",
+    ("fourier", 72, "0.9"): "a280754c7fd4331e23f1c989cbf356278130631a28348be8fadfe38cd04f1e26",
+    ("momentum", 1, "0.3"): "04d7ebd873c53e23cacb8cf59db499453477bb4b6b921cb510e40811708a3a1b",
+    ("momentum", 1, "0.5"): "1a9a955d56b1bd9b982f6ec4ad03e5ba7eb890022d1dc1ce02d26cf1ed0cf87e",
+    ("momentum", 1, "0.9"): "8dcd56b1c70e19aafe331256b1449b5c62703d8a1814662eb4cc33cb5a263202",
+    ("momentum", 12, "0.3"): "4da1869ee9d4d672a9bedd661405865f7b875fcbfe117147acf17756e050f77f",
+    ("momentum", 12, "0.5"): "24aa84083d94b53b0c4b7f2fc8ddfc44f973b682ba0cb877a99b35fce03e50b1",
+    ("momentum", 12, "0.9"): "646236eb8e2a223ea7a86454fd657073f70f095700ddd718f25e1155b0f04836",
+    ("momentum", 72, "0.3"): "90931fd07655b4bd20571054ba19c80167f8b30be277ad53114f5ac5cba4f355",
+    ("momentum", 72, "0.5"): "6ec61eaacc9d603166e4d11b828736f62885ac82446fa0437631f1742c613909",
+    ("momentum", 72, "0.9"): "458fa5f2cfb5418f0c9939ee535cae5aa86fb619562d54c7c0921ae6c1a84a57",
+}
+
+
+@pytest.mark.parametrize("kind,j,p", sorted(_PHASED_OUTPUT_SHA256))
+def test_phased_output_matches_golden_hash(capsys, kind, j, p):
+    if kind == "fourier":
+        argv = ["fourier", "--j", str(j), "--p", p, "--method", "spectral"]
+    else:
+        argv = ["wavefunction", "--j", str(j), "--p", p, "--kind", "momentum",
+                "--n", ",".join(map(str, range(2 * j + 1)))]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == _PHASED_OUTPUT_SHA256[kind, j, p]

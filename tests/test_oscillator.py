@@ -20,7 +20,7 @@ from superosc import (
     sign_variant,
 )
 from superosc import oscillator, specfun
-from superosc.oscillator import _row_phases
+from superosc.oscillator import _quarter_turns
 from superosc.specfun import krawtchouk_shift_table, krawtchouk_table
 
 
@@ -112,12 +112,13 @@ def test_momentum_matrix_bytes_equal_the_scaled_real_band(j):
 
 
 def test_row_phases_bytes_equal_the_rotated_signs():
+    # The one quarter-turn rule behind V, J and the spectral transform:
     # -i(-1)^k on row 2k and (-1)^k on row 2k+1, formed by a complex product.
     for j in (0, 1, 2, 7, 30):
         r = np.arange(2 * j + 1)
         phase = np.where(r // 2 % 2 == 0, 1.0, -1.0).astype(complex)
         phase[r % 2 == 0] *= -1j
-        assert _row_phases(j).tobytes() == phase.tobytes()
+        assert _quarter_turns(2 * j + 1).tobytes() == phase.tobytes()
 
 
 def test_momentum_is_hermitian_exactly():

@@ -222,6 +222,15 @@ def test_dual_hahn_degree_zero_and_origin():
             rel=1e-12)
 
 
+@pytest.mark.parametrize("gamma, delta, name", [
+    (math.nan, 1.0, "gamma"), (math.inf, 1.0, "gamma"), (-1.0, 1.0, "gamma"),
+    (1.0, math.nan, "delta"), (1.0, math.inf, "delta"), (1.0, -1.0, "delta"),
+])
+def test_dual_hahn_table_names_a_bad_parameter(gamma, delta, name):
+    with pytest.raises(ValueError, match=f"{name}="):
+        dual_hahn_table(gamma, delta, 5)
+
+
 def test_dual_hahn_table_orthogonal():
     for gamma, delta in ((0.5, 0.5), (3.0, 7.0)):
         table = dual_hahn_table(gamma, delta, 25)

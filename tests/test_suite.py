@@ -1,10 +1,11 @@
 import hashlib
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from superosc import fourier, specfun, suite, wavefunctions
+from superosc import fourier, oscillator, specfun, suite, wavefunctions
 from superosc.report import VerificationReport
 
 
@@ -55,7 +56,7 @@ def test_p_to_one_convergence_check_catches_a_wrong_limit(monkeypatch, wrong, fa
 # run_suite(2, (0.5,)): a check added, dropped, renamed, moved or given a
 # new tolerance changes these; update them together with the suite.
 PINNED_CHECK_COUNT = 114
-PINNED_CHECK_SHA256 = "18866d1d727ff9283895dcf247edc17f5c2e548bc23c303f56762864a9d3f336"
+PINNED_CHECK_SHA256 = "b53d52f3be6964f0d97af864535e9b9e521a17f86fbc3412a0ae6d4cdbf246da"
 
 
 def test_verify_check_list_is_pinned():
@@ -237,3 +238,46 @@ def test_overlap_check_catches_a_wrong_route(monkeypatch, mutant, failing_p):
     for name, passed in checks.items():
         p = float(name.split()[1][2:])
         assert passed == (p not in failing_p), name
+
+
+@pytest.mark.parametrize("where, wrong", [(0, 1j), (1, -1.0), (2, 1.0), (3, -1j)])
+def test_momentum_checks_catch_one_wrong_quarter_turn(monkeypatch, where, wrong):
+    # The rule lives in oscillator; V = U F holds V against the overlaps,
+    # which never read it.
+    names = ("j=4 p=0.3 V = U F", "j=4 p=0.3 momentum eigen-equation (conjugated)")
+    report = VerificationReport()
+    suite._sweep_checks(report, 4, 0.3, 1e-10)
+    assert all(_check(report, name).passed for name in names)
+    table = oscillator._QUARTER_TURNS.copy()
+    table[where] = wrong
+    monkeypatch.setattr(oscillator, "_QUARTER_TURNS", table)
+    report = VerificationReport()
+    suite._sweep_checks(report, 4, 0.3, 1e-10)
+    assert not any(_check(report, name).passed for name in names)
+
+
+@pytest.mark.parametrize("where", [0, 4, 8])
+def test_heisenberg_checks_catch_one_wrong_hamiltonian_entry(monkeypatch, where):
+    names = [f"j=4 p=0.3 Heisenberg {which} equation" for which in ("position", "momentum")]
+    report = VerificationReport()
+    suite._sweep_checks(report, 4, 0.3, 1e-10)
+    assert all(_check(report, name).passed for name in names)
+    hamiltonian_matrix = suite.hamiltonian_matrix
+
+    def one_wrong(j):
+        mat = hamiltonian_matrix(j)
+        mat[where, where] += 1.0
+        return mat
+
+    monkeypatch.setattr(suite, "hamiltonian_matrix", one_wrong)
+    report = VerificationReport()
+    suite._sweep_checks(report, 4, 0.3, 1e-10)
+    assert not any(_check(report, name).passed for name in names)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"p_list": ()}, {"tol": math.nan}, {"tol": math.inf}, {"tol": 0.0}, {"tol": -1e-10},
+])
+def test_run_suite_refuses_an_empty_p_list_and_a_bad_tolerance(kwargs):
+    with pytest.raises(ValueError):
+        suite.run_suite(1, **kwargs)
