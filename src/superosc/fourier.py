@@ -15,11 +15,8 @@ follow a parity rule in j.
 
 from __future__ import annotations
 
-import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
 from typing import NamedTuple
 
 import numpy as np
@@ -28,7 +25,7 @@ from .oscillator import _INV_SQRT2, ModelParams, _quarter_turns, analytic_U
 from .report import VerificationReport
 from .specfun import (
     _CACHE_SIZE,
-    _hyp2f1_rational,
+    _krawtchouk_exact,
     _krawtchouk_shift_table,
     _krawtchouk_table,
     _ratio,
@@ -90,51 +87,22 @@ def fourier_spectral(params: ModelParams) -> FourierMatrix:
     return FourierMatrix((u.T * _quarter_turns(params.dim)[None, :]) @ u, params.j)
 
 
-def _S_parts(p: float, j: int) -> tuple[int, int, int, list[int], list[int], list[int]]:
-    # The integers that the overlaps at (p, j) share, p = a/b: b^2,
-    # Q = 4a(b-a), e = b-2a and, for d = 0..j, the powers Q^d and e^(2d)
-    # and the scale b^(2j) d! j!/(j-d)!.
+def _S_row(p: float, j: int, k: int, top: int) -> list[float]:
+    # S(k, l; p, j) for l = 0..top, top <= k, from the closed form
+    #   S = sigma sqrt(C(j,k) C(j,l) w^(k+l) (1-w)^(j-k-l)) 2F1(-k, -l; -j; 1/w)
+    #     = sigma K~_l(k; w, j),
+    # w = 4p(1-p) = Q/b^2 for p = a/b, Q = 4a(b-a), and 1 - w = e^2/b^2,
+    # e = b-2a: the exact normalized Krawtchouk values at (P, D) = (Q, b^2).
+    # sigma = -1 where j-k-l is odd and 1-2p < 0; it flips the exact sign,
+    # so an exact zero stays +0.0. At p = 1/2 (e = 0) the entries are those
+    # of the anti-identity.
     a, b = _ratio(p)
-    Q, e = 4 * a * (b - a), b - 2 * a
-    q_pow, e_pow, scale = [1], [1], [b ** (2 * j)]
-    for d in range(j):
-        q_pow.append(q_pow[d] * Q)
-        e_pow.append(e_pow[d] * e * e)
-        scale.append(scale[d] * (d + 1) * (j - d))
-    return b * b, Q, e, q_pow, e_pow, scale
-
-
-def _S_row(j: int, k: int, ls: Sequence[int], parts) -> list[float]:
-    # S(k, l; p, j) for the ascending l in ls, each l <= k, from the
-    # closed form
-    #   S^2 = C(j,k) C(j,l) w^(k+l) (1-2p)^(2m) 2F1(-k, -l; -j; 1/w)^2,
-    # m = j-k-l, with w = 4p(1-p) = Q/b^2 and 1-2p = e/b. The 2F1 is
-    # symmetric in k and l, so one recurrence in the degree l, stopped at
-    # the last l wanted, gives it as A[l] / (Q^l j!/(j-l)!). That scale
-    # cancels against C(j,l) w^(k+l) before anything is squared:
-    #   S^2 = C(j,k) Q^(k-l) e^(2m) A[l]^2 / (b^(2j) l! j!/(j-l)!),
-    # one exact integer ratio (|S| <= 1, so the division cannot overflow)
-    # with every factor but A[l] taken from parts = _S_parts(p, j). The
-    # sign is that of A[l], flipped for odd m when 1-2p < 0. At p = 1/2
-    # (e = 0) the entries are those of the anti-identity.
-    b2, Q, e, q_pow, e_pow, scale = parts
+    e = b - 2 * a
     if e == 0:
-        return [float(k + l == j) for l in ls]
-    A = _hyp2f1_rational(k, j, b2, Q, ls[-1])
-    head = comb(j, k)
-    row = []
-    for l in ls:
-        m = j - k - l
-        num, den = head * q_pow[k - l] * A[l] ** 2, scale[l]
-        if m >= 0:
-            num *= e_pow[m]
-        else:
-            den *= e_pow[-m]
-        sign = (A[l] > 0) - (A[l] < 0)
-        if m % 2 and e < 0:
-            sign = -sign
-        row.append(sign * math.sqrt(num / den))
-    return row
+        return [float(k + l == j) for l in range(top + 1)]
+    row = _krawtchouk_exact(k, j, 4 * a * (b - a), b * b, top)
+    return [(-sign if e < 0 and (j - k - l) % 2 else sign) * mag
+            for l, (sign, mag) in enumerate(row)]
 
 
 def S_closed(k: int, l: int, p: float, j: int) -> float:
@@ -144,10 +112,13 @@ def S_closed(k: int, l: int, p: float, j: int) -> float:
     * 2F1(-k, -l; -j; 1/(4p(1-p))) in exact integer arithmetic before one
     final square root. With p = a/b, Q = 4a(b-a), e = b-2a and k >= l (S is
     symmetric), the square is the integer ratio
-    C(j,k) Q^(k-l) e^(2(j-k-l)) A^2 / (b^(2j) l! j!/(j-l)!), where
+    C(j,k) Q^k e^(2(j-k)) A^2 / (b^(2j) (Q e^2)^l l! j!/(j-l)!), where
     A = Q^l j!/(j-l)! 2F1(...) comes from a recurrence stopped at degree l;
     the result is correctly rounded from that exact ratio and then square
-    rooted. It is the reference :func:`fourier_analytic`'s float overlaps
+    rooted. That is K~_l(k; 4p(1-p), j), negated where j-k-l is odd and
+    p > 1/2, from the exact Krawtchouk evaluator that
+    :func:`~superosc.wavefunctions.position_wavefunction_closed` also reads.
+    It is the reference :func:`fourier_analytic`'s float overlaps
     are checked against, and bit for bit the entry of the exact table that
     ``verify`` compares them with. At p = 1/2 the overlap is the anti-identity
     S(k, l; 1/2, j) = delta(k+l, j) (Chu-Vandermonde on k + l = j, the
@@ -159,7 +130,7 @@ def S_closed(k: int, l: int, p: float, j: int) -> float:
     if not 0.0 < p < 1.0:
         raise ValueError(f"need 0 < p < 1, got p={p}")
     k, l = max(k, l), min(k, l)
-    return _S_row(j, k, (l,), _S_parts(p, j))[0]
+    return _S_row(p, j, k, l)[l]
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -167,10 +138,9 @@ def _S_table(p: float, j: int) -> np.ndarray:
     # The exact overlaps S(., .; p, j): the eigensolver-free reference that
     # verify and the tests hold fourier_analytic's overlaps against. Row k
     # of the lower triangle, mirrored into column k.
-    parts = _S_parts(p, j)
     table = np.empty((j + 1, j + 1))
     for k in range(j + 1):
-        table[k, :k + 1] = table[:k + 1, k] = _S_row(j, k, range(k + 1), parts)
+        table[k, :k + 1] = table[:k + 1, k] = _S_row(p, j, k, k)
     table.flags.writeable = False
     return table
 

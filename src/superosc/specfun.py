@@ -1,10 +1,11 @@
 """Discrete orthogonal polynomial tables and terminating hypergeometric sums.
 
 Provides the orthonormal Krawtchouk and dual Hahn tables, the exact integer
-2F1 recurrence of the closed routes, and the even paraboson wave function,
-whose magnitude is assembled in log space. Orthonormal tables are produced
-from the symmetric Jacobi (three-term recurrence) matrix of each family,
-whose eigenvectors are the normalized polynomial values on the grid. Column
+2F1 recurrence of the closed routes and the exact normalized Krawtchouk
+values built on it, and the even paraboson wave function, whose magnitude
+is assembled in log space. Orthonormal tables are produced from the
+symmetric Jacobi (three-term recurrence) matrix of each family, whose
+eigenvectors are the normalized polynomial values on the grid. Column
 signs are fixed by anchor rows; where both anchors are too small to trust,
 the sign of the column's largest entry follows from a Sturm count (the
 number of negative LDL^T pivots of the shifted leading Jacobi block),
@@ -23,7 +24,6 @@ from functools import lru_cache, partial
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.special import gammaln
 
 __all__ = [
     "krawtchouk_normalized",
@@ -71,10 +71,6 @@ def _jacobi_table(diag: np.ndarray, off: np.ndarray, sign) -> np.ndarray:
     # sign(diag, off, x, ns) gives the true sign of each one's largest entry
     # ns, relative to row 0.
     N = len(diag) - 1
-    if N == 0:
-        table = np.array([[1.0]])
-        table.flags.writeable = False
-        return table
     _, vecs = eigh_tridiagonal(diag, off)
     sx = np.where(np.arange(N + 1) % 2 == 0, 1.0, -1.0)
     a0 = vecs[0, :]
@@ -187,8 +183,12 @@ def _dual_hahn_sign(diag: np.ndarray, off: np.ndarray, x: np.ndarray,
 def _dual_hahn_table(gamma: float, delta: float, N: int) -> np.ndarray:
     n = np.arange(N, dtype=float)
     nn = np.arange(N + 1, dtype=float)
-    diag = (nn + gamma + 1) * (N - nn) + nn * (delta + N - nn + 1)
-    off = -np.sqrt((n + 1) * (n + gamma + 1) * (N - n) * (N - n + delta))
+    with np.errstate(over="ignore", invalid="ignore"):
+        diag = (nn + gamma + 1) * (N - nn) + nn * (delta + N - nn + 1)
+        off = -np.sqrt((n + 1) * (n + gamma + 1) * (N - n) * (N - n + delta))
+    if not (np.isfinite(diag).all() and np.isfinite(off).all()):
+        raise ValueError(f"gamma={gamma} and delta={delta} overflow the dual Hahn "
+                         f"recurrence coefficients at N={N}")
     return _jacobi_table(diag, off, partial(_dual_hahn_sign, shift=gamma + delta + 1.0))
 
 
@@ -235,14 +235,14 @@ def paraboson_even_wavefunction(n: int, c: float, x: float) -> float:
     """
     if n < 0:
         raise ValueError(f"need n >= 0, got n={n}")
-    if c <= 0:
-        raise ValueError(f"need c > 0, got c={c}")
+    if not (math.isfinite(c) and c > 0):
+        raise ValueError(f"need a finite c > 0, got c={c}")
     if x == 0.0:
         return 0.0
     series = _hyp1f1_series(n, c, x * x)
     if series == 0.0:
         return 0.0
-    log_mag = (0.5 * gammaln(n + c + 1) - 0.5 * gammaln(n + 1) - gammaln(c + 1)
+    log_mag = (0.5 * math.lgamma(n + c + 1) - 0.5 * math.lgamma(n + 1) - math.lgamma(c + 1)
                + (c + 0.5) * math.log(abs(x)) - x * x / 2.0
                + math.log(abs(series)))
     sign = (-1.0) ** n * (1.0 if series > 0 else -1.0)
@@ -275,3 +275,25 @@ def _hyp2f1_rational(x: int, N: int, P: int, Q: int, top: int | None = None) -> 
         A.append((Q * (N - k) + k * step - xP) * A[k]
                  - k * step * Q * (N - k + 1) * A[k - 1])
     return A[:top + 1]
+
+
+def _krawtchouk_exact(x: int, N: int, P: int, D: int,
+                      top: int | None = None) -> list[tuple[int, float]]:
+    # Normalized Krawtchouk values K~_d(x; P/D, N), d = 0..top (default N),
+    # for integers 0 <= x <= N and 0 < P < D, as pairs (exact sign,
+    # magnitude). With R = D - P and A = _hyp2f1_rational(x, N, D, P, top),
+    # whose A[d] / (P^d N!/(N-d)!) is K_d(x) = 2F1(-d, -x; -N; D/P),
+    #   K~_d(x)^2 = C(N,x) P^x R^(N-x) A[d]^2 / (D^N (PR)^d d! N!/(N-d)!),
+    # one exact integer ratio per degree: the numerator is fixed apart from
+    # A[d]^2 and the denominator grows by PR(d+1)(N-d) per step. Python's
+    # int / int is correctly rounded, so any form of the same ratio gives
+    # the same float (|K~| <= 1, so it cannot overflow); the magnitude is its
+    # square root. The sign is that of A[d]; an exact zero is (0, 0.0).
+    R = D - P
+    A = _hyp2f1_rational(x, N, D, P, top)
+    num, den, step = math.comb(N, x) * P**x * R**(N - x), D**N, P * R
+    values = []
+    for d, a in enumerate(A):
+        values.append(((a > 0) - (a < 0), math.sqrt(num * a * a / den)) if a else (0, 0.0))
+        den *= step * (d + 1) * (N - d)
+    return values

@@ -3,11 +3,12 @@
 A position wave function at level n is row n of the analytic position
 eigenvector matrix read against the grid -sqrt(j)..sqrt(j); the momentum
 wave function is the corresponding row of the unitary momentum eigenvector
-matrix. Every row is independently recomputable from a closed 2F1 form,
-which also yields exact sign sequences for node counting. The large-j and
-large-parameter limits connect the discrete rows to the even paraboson
-wave function through normalized dual Hahn functions on a quadratic
-lattice.
+matrix. Every row is independently recomputable from a closed 2F1 form:
+exact normalized Krawtchouk values, each square formed as one integer
+ratio and rounded once, which also yield exact sign sequences for node
+counting. The large-j and large-parameter limits connect the discrete rows
+to the even paraboson wave function through normalized dual Hahn functions
+on a quadratic lattice.
 """
 
 from __future__ import annotations
@@ -18,13 +19,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
 
 from .fourier import FourierMatrix
 from .oscillator import _INV_SQRT2, _QUARTER_TURNS, ModelParams, _level_row, position_spectrum
 from .specfun import (
     _CACHE_SIZE,
-    _hyp2f1_rational,
+    _krawtchouk_exact,
     _ratio,
     dual_hahn_normalized,
     krawtchouk_normalized,
@@ -104,41 +104,29 @@ def momentum_wavefunction(params: ModelParams, n: int) -> WaveTable:
 def _closed_row(j: int, p: float, level: int) -> tuple[np.ndarray, tuple[int, ...]]:
     # Row `level` from its closed 2F1 form, read-only, together with the
     # exact sign of each entry (0 for exact zeros). Cached, so that
-    # position_wavefunction_closed and node_count share one build. Column
-    # j+k carries the 2F1 of degree m = k - odd over N = j - odd, as the
-    # ratio A[m]/D[m] of integers from one recurrence per row, with
-    # D[m] = a^m N!/(N-m)! for p = a/b; magnitudes combine a log-gamma
-    # prefactor, read from one table of log-gammas per row, with its
-    # absolute value, and signs come from the integers, immune to underflow.
-    # Odd rows are antisymmetric with a zero center.
+    # position_wavefunction_closed and node_count share one build. For
+    # level 2n + odd, column j+k carries (-1)^n K~_m(n; p, N) / sqrt(2) with
+    # m = k - odd over N = j - odd, and the even rows' center K~_0(n; p, j)
+    # itself: one half-row of exact normalized Krawtchouk values at p = a/b,
+    # whose signs come from the integers, immune to underflow. Odd rows are
+    # antisymmetric with a zero center.
     dim = 2 * j + 1
     values = np.zeros(dim)
     signs = [0] * dim
     a, b = _ratio(p)
-    log_p, log_1p = math.log(p), math.log1p(-p)
     n, odd = level // 2, level % 2
-    N = j - odd
-    lg = gammaln(np.arange(N + 2)).tolist()  # lg[i] = log((i-1)!)
-    lead = lg[N + 1]
     s0, mirror = (-1) ** n, (-1) ** odd
+    half = _krawtchouk_exact(n, j - odd, a, b)
     if not odd:
-        values[j] = s0 * math.exp(0.5 * (lead - lg[n + 1] - lg[j - n + 1]
-                                         + n * log_p + (j - n) * log_1p))
-        signs[j] = s0
-    A, D = _hyp2f1_rational(n, N, b, a), [1]
-    for m in range(N):
-        D.append(D[m] * a * (N - m))
-    lg_n, lg_Nn = lg[n + 1], lg[N - n + 1]
+        values[j], signs[j] = s0 * half[0][1], s0
     for k in range(1, j + 1):
-        m = k - odd
-        if A[m] == 0:
+        sign, mag = half[k - odd]
+        if sign == 0:
             continue
-        log_mag = lead + 0.5 * ((n + m) * log_p + (N - n - m) * log_1p
-                                - lg_n - lg_Nn - lg[m + 1] - lg[N - m + 1])
-        sign = 1 if A[m] > 0 else -1
-        value = s0 * sign * _INV_SQRT2 * math.exp(log_mag) * abs(A[m] / D[m])
+        sign *= s0
+        value = sign * _INV_SQRT2 * mag
         values[j + k], values[j - k] = value, mirror * value
-        signs[j + k], signs[j - k] = s0 * sign, mirror * s0 * sign
+        signs[j + k], signs[j - k] = sign, mirror * sign
     values.flags.writeable = False
     return values, tuple(signs)
 
@@ -146,8 +134,10 @@ def _closed_row(j: int, p: float, level: int) -> tuple[np.ndarray, tuple[int, ..
 def position_wavefunction_closed(params: ModelParams, n: int) -> np.ndarray:
     """Closed-form route to the level-n position amplitudes.
 
-    Built without the eigenvector matrix, from terminating 2F1 values and
-    log-space normalization; agrees with :func:`position_wavefunction`.
+    Built without the eigenvector matrix: each amplitude is an exact
+    normalized Krawtchouk value, whose square is formed as one integer ratio
+    from terminating 2F1 values, rounded once to a float and square rooted.
+    Agrees with :func:`position_wavefunction` to the eigensolver's error.
     """
     _check_level(params, n)
     values, _ = _closed_row(params.j, params.p, n)
@@ -175,7 +165,7 @@ def apply_fourier(phi_stack: np.ndarray, transform: FourierMatrix | np.ndarray) 
     the full eigenvector matrix as the stack this realizes V = U F.
     """
     phi = np.asarray(phi_stack)
-    mat = transform.data if isinstance(transform, FourierMatrix) else np.asarray(transform)
+    mat = np.asarray(transform)
     if phi.ndim != 2 or phi.shape[1] != mat.shape[0]:
         raise ValueError(f"shape mismatch: stack {phi.shape} vs transform {mat.shape}")
     return phi @ mat

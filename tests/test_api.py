@@ -1,4 +1,7 @@
 import importlib
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -26,3 +29,13 @@ def test_removed_names_are_gone():
         for name in _REMOVED:
             assert name not in mod.__all__
             assert not hasattr(mod, name), f"{mod.__name__}.{name}"
+
+
+def test_runtime_needs_no_scipy_special():
+    # SciPy serves the runtime only through its tridiagonal eigensolver.
+    code = ("import sys, superosc, superosc.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.special')))")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(superosc.__file__))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out.strip() == "[]"

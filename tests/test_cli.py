@@ -314,6 +314,14 @@ def test_non_finite_alpha_exits_3_with_one_error_line(capsys, alpha):
     assert err.splitlines() == [f"error: need a finite alpha > 0, got alpha={alpha}"]
 
 
+@pytest.mark.filterwarnings("error")
+def test_overflowing_alpha_exits_3_with_one_error_line(capsys):
+    code, out, err = run(capsys, "limits", "--j", "20", "--p", "0.5", "--alpha", "1e308")
+    assert (code, out) == (3, "")
+    [line] = err.splitlines()
+    assert line.startswith("error: gamma=") and "delta=" in line
+
+
 _EDGE_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
                 2.2250738585072014e-308 / 3, 1.7976931348623157e308, 1.0, 0.1, -0.1]
 

@@ -231,6 +231,20 @@ def test_dual_hahn_table_names_a_bad_parameter(gamma, delta, name):
         dual_hahn_table(gamma, delta, 5)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("gamma, delta", [(1e308, 1e308), (1e308, 1.0), (1.0, 1e307)])
+def test_dual_hahn_table_refuses_overflowing_coefficients(gamma, delta):
+    with pytest.raises(ValueError, match="gamma=.* and delta=.* overflow"):
+        dual_hahn_table(gamma, delta, 20)
+
+
+def test_tables_of_degree_zero_are_one():
+    for table in (krawtchouk_table(0.1, 0), krawtchouk_table(0.9, 0),
+                  dual_hahn_table(0.5, 2.0, 0), dual_hahn_table(1e5, 3.0, 0)):
+        assert table.tobytes() == np.array([[1.0]]).tobytes()
+        assert not table.flags.writeable
+
+
 def test_dual_hahn_table_orthogonal():
     for gamma, delta in ((0.5, 0.5), (3.0, 7.0)):
         table = dual_hahn_table(gamma, delta, 25)
@@ -335,6 +349,9 @@ def test_paraboson_domain_checks():
         paraboson_even_wavefunction(-1, 1.0, 0.5)
     with pytest.raises(ValueError):
         paraboson_even_wavefunction(0, 0.0, 0.5)
+    for c in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite c"):
+            paraboson_even_wavefunction(1, c, 0.5)
 
 
 def _exact_sign(value) -> int:
@@ -478,37 +495,29 @@ def _S_fraction(k: int, l: int, j: int, p: float) -> float:
 
 
 def _closed_row_fraction(j: int, p: float, level: int) -> tuple[np.ndarray, tuple[int, ...]]:
-    # The closed position row with each 2F1 as an exact Fraction sum.
+    # The closed position row with each value's square formed as one
+    # Fraction, w(n)/h(m) K_m(n)^2 at p over N = j - odd, each 2F1 an exact
+    # Fraction sum; rounded once, square rooted, then times (-1)^n and, off
+    # the center, 1/sqrt(2).
     values, signs = np.zeros(2 * j + 1), [0] * (2 * j + 1)
-    z = 1 / Fraction(p).limit_denominator(10**15)
-    log_p, log_1p = math.log(p), math.log1p(-p)
+    pf = Fraction(p).limit_denominator(10**15)
     n, odd = level // 2, level % 2
-    s0 = (-1) ** n
-    if odd:
-        lead = gammaln(j)
-    else:
-        lead = gammaln(j + 1)
-        values[j] = s0 * math.exp(0.5 * (lead - gammaln(n + 1) - gammaln(j - n + 1)
-                                         + n * log_p + (j - n) * log_1p))
-        signs[j] = s0
-    for k in range(1, j + 1):
-        if odd:
-            hyp = _hyp2f1_fraction(k - 1, n, j - 1, z)
-            log_mag = lead + 0.5 * ((n + k - 1) * log_p + (j - n - k) * log_1p
-                                    - gammaln(n + 1) - gammaln(j - n)
-                                    - gammaln(k) - gammaln(j - k + 1))
-        else:
-            hyp = _hyp2f1_fraction(k, n, j, z)
-            log_mag = lead + 0.5 * ((n + k) * log_p + (j - n - k) * log_1p
-                                    - gammaln(n + 1) - gammaln(j - n + 1)
-                                    - gammaln(k + 1) - gammaln(j - k + 1))
+    N = j - odd
+    s0, mirror = (-1) ** n, (-1) ** odd
+    for k in range(odd, j + 1):
+        m = k - odd
+        hyp = _hyp2f1_fraction(m, n, N, 1 / pf)
         if hyp == 0:
             continue
-        sign = 1 if hyp > 0 else -1
-        value = s0 * sign * (1.0 / math.sqrt(2.0)) * math.exp(log_mag) * abs(float(hyp))
-        mirror = -1 if odd else 1
+        square = (comb(N, n) * comb(N, m) * pf ** (n + m) * (1 - pf) ** (N - n - m)
+                  * hyp * hyp)
+        sign = s0 * (1 if hyp > 0 else -1)
+        if k == 0:
+            values[j], signs[j] = sign * math.sqrt(float(square)), sign
+            continue
+        value = sign * (1.0 / math.sqrt(2.0)) * math.sqrt(float(square))
         values[j + k], values[j - k] = value, mirror * value
-        signs[j + k], signs[j - k] = s0 * sign, mirror * s0 * sign
+        signs[j + k], signs[j - k] = sign, mirror * sign
     return values, tuple(signs)
 
 

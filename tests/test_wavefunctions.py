@@ -180,6 +180,24 @@ def test_apply_fourier_reproduces_momentum_rows():
         assert np.abs(mapped - v).max() <= 1e-10
 
 
+@pytest.mark.parametrize("j,p", [(26, 1e-12), (40, 1e-12), (103, 1e-3)])
+def test_closed_route_holds_where_the_2f1_leaves_the_float_range(j, p):
+    # K_m(n) = 2F1(-m, -n; -N; 1/p) exceeds the float range at the top
+    # levels of these models; its normalized value stays below 1.
+    params = ModelParams(j=j, p=p)
+    u = analytic_U(params)
+    for level in range(2 * j + 1):
+        assert np.abs(position_wavefunction_closed(params, level) - u[level]).max() <= 1e-13
+        assert node_count(params, level) == level
+
+
+def test_apply_fourier_reads_the_transform_without_a_copy():
+    transform = fourier_analytic(ModelParams(j=3, p=0.4))
+    assert np.asarray(transform) is transform.data
+    stack = np.eye(7)
+    assert np.array_equal(apply_fourier(stack, transform), transform.data)
+
+
 def test_apply_fourier_identity_passthrough():
     params = ModelParams(j=3, p=0.4)
     u = analytic_U(params)
