@@ -175,7 +175,6 @@ def _common_output_flags(sub: argparse.ArgumentParser) -> None:
 def cmd_spectrum(args: argparse.Namespace) -> tuple[int, str]:
     if args.j < 0:
         raise ValueError(f"need j >= 0, got j={args.j}")
-    _check_peak(args)
     if args.observable == "H":
         # The Hamiltonian's diagonal 2j - r + 1/2, sorted: exact half-integers.
         values = np.arange(2 * args.j + 1) + 0.5
@@ -208,7 +207,6 @@ def _wave_json(table) -> dict:
 
 def cmd_wavefunction(args: argparse.Namespace) -> tuple[int, str]:
     # Each row is read from a Krawtchouk table, with no dense matrix.
-    _check_peak(args)
     params = ModelParams(args.j, args.p)
     build = position_wavefunction if args.kind == "position" else momentum_wavefunction
     tables = [build(params, n) for n in args.n]
@@ -221,7 +219,6 @@ def cmd_wavefunction(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def cmd_fourier(args: argparse.Namespace) -> tuple[int, str]:
-    _check_peak(args)
     params = ModelParams(args.j, args.p)
     matrix = (fourier_analytic(params) if args.method == "analytic"
               else fourier_spectral(params)).data
@@ -238,7 +235,6 @@ def cmd_fourier(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
-    _check_peak(args)
     tol = args.tol
     if tol is None:
         tol = float(os.environ.get("SUPEROSC_TOL", _DEFAULT_TOL))
@@ -252,7 +248,6 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
 
 def cmd_limits(args: argparse.Namespace) -> tuple[int, str]:
     # The dual Hahn and Krawtchouk tables behind each row are (j+1)x(j+1).
-    _check_peak(args)
     grid_count = min(15, args.j)
     rows = paraboson_limit_table(args.j, args.p, args.alpha, args.n, grid_count)
     if args.format == "json":
@@ -283,6 +278,7 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 0 for --help, 2 for usage errors
         return 0 if exc.code in (0, None) else 2
     try:
+        _check_peak(args)
         code, text = _COMMANDS[args.command](args)
     except (ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)

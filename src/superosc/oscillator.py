@@ -125,35 +125,33 @@ def position_spectrum(j: int) -> np.ndarray:
     """Shared eigenvalue grid (-sqrt(j), ..., -1, 0, 1, ..., sqrt(j))."""
     if j < 0:
         raise ValueError(f"need j >= 0, got j={j}")
-    k = np.arange(-j, j + 1)
-    return np.sign(k) * np.sqrt(np.abs(k))
+    root = np.sqrt(np.arange(j + 1.0))
+    return np.concatenate((-root[:0:-1], root))
 
 
-def _fill_rows(even_table: np.ndarray | None, odd_table: np.ndarray | None, lo: int,
-               even: np.ndarray, odd: np.ndarray) -> None:
-    # Rows 2n of a U-layout matrix into even and rows 2n+1 into odd, for
-    # n = lo, lo+1, ..., as many as each output holds; every entry is
-    # written. Even rows read the (j+1)x(j+1) table, odd rows the j x j one
-    # (a table may be None where its output is empty). Each row reads column
-    # n of its table as a view, and its sign (-1)^n comes from the absolute n.
-    j = even.shape[1] // 2
-    first = (lo + 1) % 2  # position of the first odd n in the block
-    if len(even):
-        # Row 2n at column j+k is (-1)^n T_k(n)/sqrt(2); column j-k mirrors
-        # column j+k.
-        table = even_table[:, lo:lo + len(even)]
-        even[:, j] = table[0]
-        np.multiply(table[1:].T, _INV_SQRT2, out=even[:, j + 1:])
-        even[first::2, j:] *= -1.0
-        even[:, :j] = even[:, :j:-1]
-    if len(odd):
-        # Row 2n+1 at column j+k is (-1)^n T_{k-1}(n)/sqrt(2); column j-k
-        # holds its negative and the center column is zero.
-        table = odd_table[:, lo:lo + len(odd)]
-        np.multiply(table.T, _INV_SQRT2, out=odd[:, j + 1:])
-        odd[first::2, j + 1:] *= -1.0
-        odd[:, j] = 0.0
-        np.negative(odd[:, :j:-1], out=odd[:, :j])
+def _fill_even(table: np.ndarray, lo: int, out: np.ndarray) -> None:
+    # Rows 2n of a U-layout matrix, n = lo, lo+1, ..., as many as out holds,
+    # from the (j+1)x(j+1) table; every entry is written. Row 2n at column
+    # j+k is (-1)^n T_k(n)/sqrt(2), the center unhalved, and column j-k
+    # mirrors column j+k. Each row reads column n of the table as a view,
+    # and its sign comes from the absolute n.
+    j = out.shape[1] // 2
+    cols = table[:, lo:lo + len(out)]
+    out[:, j] = cols[0]
+    np.multiply(cols[1:].T, _INV_SQRT2, out=out[:, j + 1:])
+    out[(lo + 1) % 2::2, j:] *= -1.0
+    out[:, :j] = out[:, :j:-1]
+
+
+def _fill_odd(table: np.ndarray, lo: int, out: np.ndarray) -> None:
+    # Rows 2n+1 likewise, from the j x j table: column j+k is
+    # (-1)^n T_{k-1}(n)/sqrt(2), column j-k its negative, the center zero.
+    j = out.shape[1] // 2
+    cols = table[:, lo:lo + len(out)]
+    np.multiply(cols.T, _INV_SQRT2, out=out[:, j + 1:])
+    out[(lo + 1) % 2::2, j + 1:] *= -1.0
+    out[:, j] = 0.0
+    np.negative(out[:, :j:-1], out=out[:, :j])
 
 
 def analytic_U(params: ModelParams) -> np.ndarray:
@@ -172,8 +170,9 @@ def analytic_U(params: ModelParams) -> np.ndarray:
     """
     p, j = params.p, params.j
     mat = np.empty((params.dim, params.dim))
-    _fill_rows(krawtchouk_table(p, j), krawtchouk_shift_table(p, j) if j else None, 0,
-               mat[0::2], mat[1::2])
+    _fill_even(krawtchouk_table(p, j), 0, mat[0::2])
+    if j:
+        _fill_odd(krawtchouk_shift_table(p, j), 0, mat[1::2])
     return mat
 
 
@@ -181,9 +180,9 @@ def _level_row(params: ModelParams, n: int) -> np.ndarray:
     # Row n of analytic_U alone, read from one column of one cached table.
     row = np.empty((1, params.dim))
     if n % 2:
-        _fill_rows(None, krawtchouk_shift_table(params.p, params.j), n // 2, row[:0], row)
+        _fill_odd(krawtchouk_shift_table(params.p, params.j), n // 2, row)
     else:
-        _fill_rows(krawtchouk_table(params.p, params.j), None, n // 2, row, row[:0])
+        _fill_even(krawtchouk_table(params.p, params.j), n // 2, row)
     return row[0]
 
 
@@ -245,11 +244,12 @@ def limit_U(j: int, side: str) -> np.ndarray:
     if j < 0:
         raise ValueError(f"need j >= 0, got j={j}")
     if side == "toward-zero":
-        tables = [np.diag((-1.0) ** np.arange(size)) for size in (j + 1, j)]
+        even, odd = [np.diag((-1.0) ** np.arange(size)) for size in (j + 1, j)]
     elif side == "toward-one":
-        tables = [np.eye(size)[::-1] for size in (j + 1, j)]
+        even, odd = [np.eye(size)[::-1] for size in (j + 1, j)]
     else:
         raise ValueError(f"side must be 'toward-zero' or 'toward-one', got {side!r}")
     mat = np.empty((2 * j + 1, 2 * j + 1))
-    _fill_rows(*tables, 0, mat[0::2], mat[1::2])
+    _fill_even(even, 0, mat[0::2])
+    _fill_odd(odd, 0, mat[1::2])
     return mat

@@ -26,8 +26,8 @@ from .specfun import (
     _CACHE_SIZE,
     _krawtchouk_exact,
     _ratio,
-    dual_hahn_normalized,
-    krawtchouk_normalized,
+    dual_hahn_table,
+    krawtchouk_table,
     paraboson_even_wavefunction,
 )
 
@@ -202,14 +202,11 @@ def paraboson_limit_table(j: int, p: float, alpha: float, n: int,
     if grid_count < 1:
         raise ValueError(f"need grid_count >= 1, got {grid_count}")
     gamma, delta = 2.0 * p * alpha, 2.0 * (1.0 - p) * alpha
-    sign = (-1.0) ** n
-    rows = np.empty((grid_count, 4))
-    for idx, k in enumerate(range(1, grid_count + 1)):
-        lam = k * (k + 2.0 * alpha + 1.0)
-        x_k = math.sqrt(lam / j)
-        normalized = dual_hahn_normalized(n, k, gamma, delta, j)
-        discrete = sign * _INV_SQRT2 * j**0.25 * normalized
-        continuum = paraboson_even_wavefunction(n, gamma, x_k)
-        gap = abs(normalized - krawtchouk_normalized(n, k, p, j))
-        rows[idx] = (x_k, discrete, continuum, gap)
-    return rows
+    k = np.arange(1, grid_count + 1)
+    x = np.sqrt(k * (k + 2.0 * alpha + 1.0) / j)
+    # Row n of each table at lattice points 1..grid_count.
+    normalized = dual_hahn_table(gamma, delta, j)[n, 1:grid_count + 1]
+    discrete = (-1.0) ** n * _INV_SQRT2 * j**0.25 * normalized
+    continuum = [paraboson_even_wavefunction(n, gamma, x_k) for x_k in x.tolist()]
+    gap = np.abs(normalized - krawtchouk_table(p, j)[n, 1:grid_count + 1])
+    return np.column_stack((x, discrete, continuum, gap))

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -157,6 +158,34 @@ def test_verify_flag_overrides_env(capsys, monkeypatch):
     code, _, _ = run(capsys, "verify", "--j-max", "2", "--p-list", "0.5",
                      "--tol", "1e-10")
     assert code == 0
+
+
+# One CSV line of verify: status, name, residual and tolerance.
+_VERIFY_LINE = re.compile(r"(PASS|FAIL)  (.+): residual=(\S+) tol=(\S+)")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("--j-max", "2", "--p-list", "0.3"), 0),
+    (("--j-max", "1", "--p-list", "0.3", "--tol", "1e-300"), 1),
+])
+def test_verify_json_matches_csv(capsys, argv, code):
+    csv_code, csv_text, _ = run(capsys, "verify", *argv)
+    json_code, json_text, _ = run(capsys, "verify", *argv, "--format", "json")
+    assert csv_code == json_code == code
+    payload = json.loads(json_text)
+    checks, lines = payload["checks"], csv_text.splitlines()
+    assert len(checks) == len(lines) - 1
+    for check, line in zip(checks, lines):
+        status, name, residual, tol = _VERIFY_LINE.fullmatch(line).groups()
+        assert check["name"] == name
+        assert check["passed"] is (status == "PASS")
+        assert f"{check['residual']:.3e}" == residual
+        assert f"{check['tolerance']:.1e}" == tol
+    failed = sum(not check["passed"] for check in checks)
+    assert payload["passed"] is (code == 0)
+    assert (failed == 0) is (code == 0)
+    verdict = "PASS" if code == 0 else "FAIL"
+    assert lines[-1] == f"{verdict}  overall: {len(checks)} checks, {failed} failed"
 
 
 def test_limits_table(capsys):
