@@ -18,6 +18,7 @@ j whose estimated peak memory is over 2 GiB.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -172,6 +173,12 @@ def _common_output_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--output", default=None)
 
 
+def _csv(header: str, columns: str, rows: list[str]) -> str:
+    # One CSV block: "# " and the header, the column names, then the rows,
+    # formatted by the caller so that no float list outlives its text.
+    return "\n".join([f"# {header}", columns, *rows])
+
+
 def cmd_spectrum(args: argparse.Namespace) -> tuple[int, str]:
     if args.j < 0:
         raise ValueError(f"need j >= 0, got j={args.j}")
@@ -181,23 +188,19 @@ def cmd_spectrum(args: argparse.Namespace) -> tuple[int, str]:
     else:
         values = position_spectrum(args.j)
     if args.format == "json":
-        text = _json({"j": args.j, "observable": args.observable, "values": values}) + "\n"
-    else:
-        lines = [f"# j={args.j} observable={args.observable}", "value",
-                 _fmt_seq(values.tolist(), sep="\n")]
-        text = "\n".join(lines) + "\n"
-    return 0, text
+        return 0, _json({"j": args.j, "observable": args.observable, "values": values})
+    return 0, _csv(f"j={args.j} observable={args.observable}", "value",
+                   [_fmt_seq(values.tolist(), sep="\n")])
 
 
-def _wave_csv(table) -> list[str]:
+def _wave_csv(table) -> str:
     complex_amp = np.iscomplexobj(table.amplitudes)
-    lines = [f"# j={table.j} p={_fmt(table.p)} n={table.n} kind={table.kind} "
-             f"energy={_fmt(table.energy)}"]
-    lines.append("grid,amplitude_re,amplitude_im" if complex_amp else "grid,amplitude_re")
     columns = (table.grid, table.amplitudes.real, table.amplitudes.imag) if complex_amp \
         else (table.grid, table.amplitudes)
-    lines += [_fmt_seq(row) for row in np.column_stack(columns).tolist()]
-    return lines
+    return _csv(f"j={table.j} p={_fmt(table.p)} n={table.n} kind={table.kind} "
+                f"energy={_fmt(table.energy)}",
+                "grid,amplitude_re,amplitude_im" if complex_amp else "grid,amplitude_re",
+                [_fmt_seq(row) for row in np.column_stack(columns).tolist()])
 
 
 def _wave_json(table) -> dict:
@@ -211,11 +214,8 @@ def cmd_wavefunction(args: argparse.Namespace) -> tuple[int, str]:
     build = position_wavefunction if args.kind == "position" else momentum_wavefunction
     tables = [build(params, n) for n in args.n]
     if args.format == "json":
-        text = _json([_wave_json(t) for t in tables]) + "\n"
-    else:
-        blocks = ["\n".join(_wave_csv(t)) for t in tables]
-        text = "\n\n".join(blocks) + "\n"
-    return 0, text
+        return 0, _json([_wave_json(t) for t in tables])
+    return 0, "\n\n".join([_wave_csv(t) for t in tables])
 
 
 def cmd_fourier(args: argparse.Namespace) -> tuple[int, str]:
@@ -223,15 +223,10 @@ def cmd_fourier(args: argparse.Namespace) -> tuple[int, str]:
     matrix = (fourier_analytic(params) if args.method == "analytic"
               else fourier_spectral(params)).data
     if args.format == "json":
-        payload = {"j": args.j, "p": args.p, "method": args.method, "matrix": matrix}
-        text = _json(payload) + "\n"
-    else:
-        dim = matrix.shape[0]
-        lines = [f"# j={args.j} p={_fmt(args.p)} method={args.method}"]
-        lines.append(",".join(f"c{c}_re,c{c}_im" for c in range(dim)))
-        lines += [_fmt_seq(row) for row in _floats(matrix)]
-        text = "\n".join(lines) + "\n"
-    return 0, text
+        return 0, _json({"j": args.j, "p": args.p, "method": args.method, "matrix": matrix})
+    return 0, _csv(f"j={args.j} p={_fmt(args.p)} method={args.method}",
+                   ",".join(f"c{c}_re,c{c}_im" for c in range(matrix.shape[0])),
+                   [_fmt_seq(row) for row in _floats(matrix)])
 
 
 def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
@@ -239,10 +234,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
     if tol is None:
         tol = float(os.environ.get("SUPEROSC_TOL", _DEFAULT_TOL))
     report = run_suite(j_max=args.j_max, p_list=args.p_list, tol=tol)
-    if args.format == "json":
-        text = _json(report.to_dict()) + "\n"
-    else:
-        text = "\n".join(report.lines()) + "\n"
+    text = _json(report.to_dict()) if args.format == "json" else "\n".join(report.lines())
     return (0 if report.passed else 1), text
 
 
@@ -251,14 +243,10 @@ def cmd_limits(args: argparse.Namespace) -> tuple[int, str]:
     grid_count = min(15, args.j)
     rows = paraboson_limit_table(args.j, args.p, args.alpha, args.n, grid_count)
     if args.format == "json":
-        payload = {"j": args.j, "p": args.p, "alpha": args.alpha, "n": args.n, "rows": rows}
-        text = _json(payload) + "\n"
-    else:
-        lines = [f"# j={args.j} p={_fmt(args.p)} alpha={_fmt(args.alpha)} n={args.n}"]
-        lines.append("x,discrete,continuum,limit_gap")
-        lines += [_fmt_seq(row) for row in rows.tolist()]
-        text = "\n".join(lines) + "\n"
-    return 0, text
+        return 0, _json({"j": args.j, "p": args.p, "alpha": args.alpha, "n": args.n,
+                         "rows": rows})
+    return 0, _csv(f"j={args.j} p={_fmt(args.p)} alpha={_fmt(args.alpha)} n={args.n}",
+                   "x,discrete,continuum,limit_gap", [_fmt_seq(row) for row in rows.tolist()])
 
 
 _COMMANDS = {
@@ -283,11 +271,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    # The one place that picks the destination and ends the text.
+    with open(args.output, "w", encoding="utf-8") if args.output \
+            else contextlib.nullcontext(sys.stdout) as out:
+        print(text, file=out)
     return code
 
 

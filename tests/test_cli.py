@@ -209,6 +209,46 @@ def test_output_flag_writes_file(tmp_path, capsys):
     assert json.loads(target.read_text())[0]["j"] == 2
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "--j", "4", "--observable", "p"),
+    ("wavefunction", "--j", "3", "--p", "0.3", "--n", "0,1,5", "--kind", "momentum"),
+    ("fourier", "--j", "3", "--p", "0.3"),
+    ("verify", "--j-max", "2", "--p-list", "0.5"),
+    ("limits", "--j", "6", "--p", "0.5", "--alpha", "10", "--n", "1"),
+])
+def test_output_file_holds_the_stdout_bytes(tmp_path, capsys, argv, fmt):
+    target = tmp_path / "out.txt"
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert (code, err) == (0, "") and out.endswith("\n") and not out.endswith("\n\n")
+    assert run(capsys, *argv, "--format", fmt, "--output", str(target)) == (0, "", "")
+    assert target.read_bytes() == out.encode()
+
+
+def test_failing_verify_writes_its_full_report(tmp_path, capsys):
+    target = tmp_path / "report.txt"
+    _, passing, _ = run(capsys, "verify", "--j-max", "1")
+    code, out, _ = run(capsys, "verify", "--j-max", "1", "--tol", "1e-300")
+    assert code == 1
+    assert run(capsys, "verify", "--j-max", "1", "--tol", "1e-300",
+               "--output", str(target)) == (1, "", "")
+    assert target.read_bytes() == out.encode()
+    names = [line.split(":")[0][6:] for line in out.splitlines()]
+    assert names == [line.split(":")[0][6:] for line in passing.splitlines()]
+    assert out.endswith(" failed\n") and out.splitlines()[-1].startswith("FAIL  overall:")
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (("spectrum", "--j", "3", "--frmt", "csv"), 2),
+    (("fourier", "--j", "3", "--p", "1.5"), 3),
+])
+def test_failed_call_writes_nothing(tmp_path, capsys, argv, expected):
+    target = tmp_path / "out.txt"
+    assert run(capsys, *argv)[:2] == (expected, "")
+    assert run(capsys, *argv, "--output", str(target))[:2] == (expected, "")
+    assert not target.exists()
+
+
 def test_deterministic_output(capsys):
     _, first, _ = run(capsys, "fourier", "--j", "5", "--p", "0.37", "--format", "csv")
     _, second, _ = run(capsys, "fourier", "--j", "5", "--p", "0.37", "--format", "csv")
