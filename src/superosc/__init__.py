@@ -10,113 +10,20 @@ position wave vectors to momentum wave vectors. Large-parameter limits
 recover the paraboson oscillator.
 """
 
-from .fourier import (
-    EigenvalueMultiplicity,
-    FourierMatrix,
-    J_matrix,
-    S_closed,
-    expected_multiplicities,
-    fourier_analytic,
-    fourier_eigensystem_report,
-    fourier_spectral,
-)
-from .oracle import (
-    EigenResult,
-    hermitian_tridiag_eigen,
-    hermitian_tridiag_eigenvalues,
-    krawtchouk_exact,
-    tridiag_eigen,
-)
-from .oscillator import (
-    ModelParams,
-    SymTridiagonal,
-    analytic_U,
-    analytic_V,
-    hamiltonian_matrix,
-    limit_U,
-    momentum_matrix,
-    position_matrix,
-    position_spectrum,
-    sign_variant,
-)
-from .report import CheckResult, VerificationReport
-from .representation import (
-    GENERATORS,
-    ODD_GENERATORS,
-    generator_matrix,
-    generator_parity,
-    parity,
-    superbracket,
-    verify_star,
-    verify_superalgebra,
-)
-from .specfun import (
-    dual_hahn_normalized,
-    dual_hahn_table,
-    krawtchouk_normalized,
-    krawtchouk_shift_table,
-    krawtchouk_table,
-    paraboson_even_wavefunction,
-)
+from . import fourier, oracle, oscillator, report, representation, specfun, suite, wavefunctions
+from .fourier import *
+from .oracle import *
+from .oscillator import *
+from .report import *
+from .representation import *
+from .specfun import *
 from .suite import run_suite
-from .wavefunctions import (
-    WaveTable,
-    apply_fourier,
-    momentum_wavefunction,
-    node_count,
-    paraboson_limit_table,
-    position_wavefunction,
-    position_wavefunction_closed,
-)
+from .wavefunctions import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CheckResult",
-    "EigenResult",
-    "EigenvalueMultiplicity",
-    "FourierMatrix",
-    "GENERATORS",
-    "J_matrix",
-    "ModelParams",
-    "ODD_GENERATORS",
-    "S_closed",
-    "SymTridiagonal",
-    "VerificationReport",
-    "WaveTable",
-    "analytic_U",
-    "analytic_V",
-    "apply_fourier",
-    "dual_hahn_normalized",
-    "dual_hahn_table",
-    "expected_multiplicities",
-    "fourier_analytic",
-    "fourier_eigensystem_report",
-    "fourier_spectral",
-    "generator_matrix",
-    "generator_parity",
-    "hamiltonian_matrix",
-    "hermitian_tridiag_eigen",
-    "hermitian_tridiag_eigenvalues",
-    "krawtchouk_exact",
-    "krawtchouk_normalized",
-    "krawtchouk_shift_table",
-    "krawtchouk_table",
-    "limit_U",
-    "momentum_matrix",
-    "momentum_wavefunction",
-    "node_count",
-    "paraboson_even_wavefunction",
-    "paraboson_limit_table",
-    "parity",
-    "position_matrix",
-    "position_spectrum",
-    "position_wavefunction",
-    "position_wavefunction_closed",
-    "run_suite",
-    "sign_variant",
-    "superbracket",
-    "tridiag_eigen",
-    "verify_star",
-    "verify_superalgebra",
-]
+# Each module's __all__ is its public API, re-exported here; of suite's,
+# only run_suite.
+__all__ = sorted(["run_suite", *(name for module in (
+    fourier, oracle, oscillator, report, representation, specfun, wavefunctions)
+    for name in module.__all__)])

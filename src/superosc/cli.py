@@ -26,10 +26,10 @@ import numpy as np
 
 from .fourier import fourier_analytic, fourier_spectral
 from .oscillator import ModelParams, position_spectrum
+from .report import _DEFAULT_TOL
 from .suite import DEFAULT_P_LIST, run_suite
 from .wavefunctions import momentum_wavefunction, paraboson_limit_table, position_wavefunction
 
-_DEFAULT_TOL = 1e-10
 # Largest estimated peak, in bytes, of one command.
 _PEAK_BYTES_MAX = 2 * 2**30
 
@@ -276,7 +276,3 @@ def main(argv: list[str] | None = None) -> int:
             else contextlib.nullcontext(sys.stdout) as out:
         print(text, file=out)
     return code
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

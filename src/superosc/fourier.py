@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .oscillator import _INV_SQRT2, ModelParams, _quarter_turns, analytic_U
-from .report import VerificationReport
+from .report import _DEFAULT_TOL, VerificationReport
 from .specfun import (
     _CACHE_SIZE,
     _krawtchouk_exact,
@@ -224,7 +224,7 @@ def expected_multiplicities(j: int) -> EigenvalueMultiplicity:
 
 
 def fourier_eigensystem_report(
-    params: ModelParams, tol: float = 1e-10
+    params: ModelParams, tol: float = _DEFAULT_TOL
 ) -> tuple[VerificationReport, EigenvalueMultiplicity]:
     """Verify the transform's matrix properties and eigenvalue multiplicities.
 

@@ -4,6 +4,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+__all__ = ["CheckResult", "VerificationReport"]
+
+# Base tolerance of the matrix-residual checks of `verify`, `run_suite` and
+# `fourier_eigensystem_report`.
+_DEFAULT_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class CheckResult:

@@ -35,7 +35,7 @@ from .oscillator import (
     position_spectrum,
     sign_variant,
 )
-from .report import VerificationReport
+from .report import _DEFAULT_TOL, VerificationReport
 from .specfun import (
     _hyp2f1_rational,
     dual_hahn_table,
@@ -247,7 +247,7 @@ def _fixed_checks(report: VerificationReport, tol: float) -> None:
 
 
 def run_suite(j_max: int = 10, p_list: tuple[float, ...] = DEFAULT_P_LIST,
-              tol: float = 1e-10) -> VerificationReport:
+              tol: float = _DEFAULT_TOL) -> VerificationReport:
     """Run every invariant check over j = 1..j_max and the given p values.
 
     ``tol`` is the base tolerance for matrix residuals; checks with

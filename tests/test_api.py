@@ -1,5 +1,7 @@
 import importlib
+import math
 import os
+import re
 import subprocess
 import sys
 
@@ -9,7 +11,8 @@ import superosc
 
 # The package and the submodules that declare __all__.
 _MODULES = ("superosc", *(f"superosc.{name}" for name in (
-    "fourier", "oracle", "oscillator", "representation", "specfun", "suite", "wavefunctions")))
+    "fourier", "oracle", "oscillator", "report", "representation", "specfun", "suite",
+    "wavefunctions")))
 # Removed from the public API: the float 2F1 series and the single-value
 # helpers that no output read.
 _REMOVED = ("hyp2f1_terminating", "krawtchouk", "krawtchouk_weight", "krawtchouk_norm",
@@ -22,6 +25,30 @@ def test_every_exported_name_resolves(module):
     assert len(mod.__all__) == len(set(mod.__all__))
     for name in mod.__all__:
         assert hasattr(mod, name), f"{mod.__name__}.{name}"
+
+
+# Input checks that no other test reaches: (public name, arguments, message).
+_REFUSED = (
+    ("run_suite", (0,), "need j_max >= 1, got 0"),
+    ("run_suite", (1, (0.5, 1.0)), "need 0 < p < 1 throughout p_list, got 1.0"),
+    ("hamiltonian_matrix", (-1,), "need j >= 0, got j=-1"),
+    ("position_spectrum", (-1,), "need j >= 0, got j=-1"),
+    ("limit_U", (-1, "toward-zero"), "need j >= 0, got j=-1"),
+    ("J_matrix", (-1,), "need j >= 0, got j=-1"),
+    ("krawtchouk_table", (0.3, -1), "need N >= 0, got N=-1"),
+    ("dual_hahn_table", (1.0, 1.0, -1), "need N >= 0, got N=-1"),
+    ("dual_hahn_normalized", (5, 0, 1.0, 1.0, 4), "need 0 <= n, x <= N, got n=5, x=0, N=4"),
+    ("paraboson_limit_table", (5, 0.5, 10.0, 0, 0), "need grid_count >= 1, got 0"),
+    ("tridiag_eigen", ([math.nan], [0.0, 0.0]), "inputs must be finite"),
+    ("krawtchouk_exact", (1, 1, 3, 2, 4), "need 0 < p_num < p_den, got 3/2"),
+)
+
+
+@pytest.mark.parametrize("name,args,message", _REFUSED,
+                         ids=[name for name, _, _ in _REFUSED])
+def test_input_checks_raise_their_message(name, args, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        getattr(superosc, name)(*args)
 
 
 def test_removed_names_are_gone():

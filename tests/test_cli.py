@@ -1,12 +1,16 @@
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import superosc
 from superosc import (
     ModelParams,
     analytic_U,
@@ -20,6 +24,10 @@ from superosc import (
 )
 from superosc import cli, fourier, specfun, wavefunctions
 from superosc.cli import _floats, _fmt, _fmt_seq, _json, main
+
+
+# The directory that holds the package, for a child process's PYTHONPATH.
+_SRC = os.path.dirname(os.path.dirname(superosc.__file__))
 
 
 def run(capsys, *argv):
@@ -588,7 +596,9 @@ def test_analytic_fourier_output_is_near_the_exact_route(capsys, j, p):
 # (every level) CSV stdout. Both read the quarter-turn phases of
 # oscillator._QUARTER_TURNS, and these bytes pin them, zero signs included.
 # Unlike the exact-route hashes above they also depend on the eigensolver
-# and the BLAS product (x86-64, OpenBLAS).
+# and the BLAS product (x86-64, OpenBLAS), whose split of (U^T J) @ U, and
+# so the spectral route's last bits, changes with the thread count: the
+# `fourier` hashes were taken at two threads, and their cases run at two.
 _PHASED_OUTPUT_SHA256 = {
     ("fourier", 1, "0.3"): "e3c1071fdd843637e7e884c3b6ed497ad56ae12738a81a374871e42031311517",
     ("fourier", 1, "0.5"): "47d91fdec403955b9cc3e35936afef5f2d0d79da90a1164eb008d425abd0d5af",
@@ -611,13 +621,46 @@ _PHASED_OUTPUT_SHA256 = {
 }
 
 
+# Prints, as JSON, the exit code, stderr and stdout sha256 of
+# `fourier --method spectral` at each (j, p) of its argument.
+_SPECTRAL_HASHES = """
+import contextlib, hashlib, io, json, sys
+from superosc.cli import main
+results = []
+for j, p in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["fourier", "--j", str(j), "--p", p, "--method", "spectral"])
+    results.append([j, p, code, err.getvalue(), hashlib.sha256(out.getvalue().encode()).hexdigest()])
+print(json.dumps(results))
+"""
+
+
+@pytest.fixture(scope="module")
+def spectral_hashes():
+    # One child process at the thread count the hashes were taken at,
+    # whatever this process's BLAS runs on.
+    cases = sorted((j, p) for kind, j, p in _PHASED_OUTPUT_SHA256 if kind == "fourier")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2", "PYTHONPATH": _SRC}
+    out = subprocess.run([sys.executable, "-c", _SPECTRAL_HASHES, json.dumps(cases)],
+                         capture_output=True, text=True, env=env, check=True).stdout
+    return {(j, p): (code, err, digest) for j, p, code, err, digest in json.loads(out)}
+
+
 @pytest.mark.parametrize("kind,j,p", sorted(_PHASED_OUTPUT_SHA256))
-def test_phased_output_matches_golden_hash(capsys, kind, j, p):
+def test_phased_output_matches_golden_hash(capsys, spectral_hashes, kind, j, p):
     if kind == "fourier":
-        argv = ["fourier", "--j", str(j), "--p", p, "--method", "spectral"]
+        code, err, digest = spectral_hashes[j, p]
     else:
-        argv = ["wavefunction", "--j", str(j), "--p", p, "--kind", "momentum",
-                "--n", ",".join(map(str, range(2 * j + 1)))]
-    code, out, err = run(capsys, *argv)
+        code, out, err = run(capsys, "wavefunction", "--j", str(j), "--p", p,
+                             "--kind", "momentum", "--n", ",".join(map(str, range(2 * j + 1))))
+        digest = hashlib.sha256(out.encode()).hexdigest()
     assert (code, err) == (0, "")
-    assert hashlib.sha256(out.encode()).hexdigest() == _PHASED_OUTPUT_SHA256[kind, j, p]
+    assert digest == _PHASED_OUTPUT_SHA256[kind, j, p]
+
+
+def test_module_entry_point_prints_what_main_prints(capsys):
+    _, expected, _ = run(capsys, "spectrum", "--j", "2")
+    done = subprocess.run([sys.executable, "-m", "superosc", "spectrum", "--j", "2"],
+                          capture_output=True, env={**os.environ, "PYTHONPATH": _SRC})
+    assert (done.returncode, done.stdout, done.stderr) == (0, expected.encode(), b"")

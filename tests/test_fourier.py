@@ -77,6 +77,13 @@ def test_spectral_route_j1_half():
     assert np.abs(np.asarray(f) - expected).max() < 1e-12
 
 
+def test_array_conversion_honours_dtype():
+    f = fourier_analytic(ModelParams(j=3, p=0.3))
+    converted = np.asarray(f, dtype=np.complex64)
+    assert converted.dtype == np.complex64
+    assert np.array_equal(converted, f.data.astype(np.complex64))
+
+
 def test_transform_is_symmetric():
     f = np.asarray(fourier_analytic(ModelParams(j=5, p=0.3)))
     assert np.abs(f - f.T).max() <= 1e-12

@@ -319,6 +319,12 @@ def test_paraboson_vanishes_at_origin():
         assert paraboson_even_wavefunction(n, 0.8, 0.0) == 0.0
 
 
+def test_paraboson_vanishes_where_its_series_is_zero():
+    # At n = 1, c = 3 the series 1 - x^2/(c+1) is exactly 0 at x = 2, where
+    # its logarithm is undefined.
+    assert paraboson_even_wavefunction(1, 3.0, 2.0) == 0.0
+
+
 def test_paraboson_ground_state_closed_form():
     c = 1.4
     for x in (0.2, 1.0, 2.5, -1.3):
