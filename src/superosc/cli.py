@@ -8,11 +8,11 @@ comparison table).
 Output is deterministic: identical flags produce byte-identical text.
 Floats are printed with 17 significant digits (round-trip safe); complex
 values become [re, im] pairs in JSON and paired columns in CSV. Exit codes:
-0 success, 1 verification failure, 2 usage error, 3 domain error. For
-``verify``, the environment variable SUPEROSC_TOL overrides the default
-check tolerance; an explicit --tol flag wins over both. Either must be
-finite and positive. Each command refuses, before it allocates anything, a
-j whose estimated peak memory is over 2 GiB.
+0 success, 1 verification failure, 2 usage error, 3 domain error or an
+--output that cannot be written. For ``verify``, the environment variable
+SUPEROSC_TOL overrides the default check tolerance; an explicit --tol flag
+wins over both. Either must be finite and positive. Each command refuses,
+before it allocates anything, a j whose estimated peak memory is over 2 GiB.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import numpy as np
 from .fourier import fourier_analytic, fourier_spectral
 from .oscillator import ModelParams, position_spectrum
 from .report import _DEFAULT_TOL
+from .specfun import _integer
 from .suite import DEFAULT_P_LIST, run_suite
 from .wavefunctions import momentum_wavefunction, paraboson_limit_table, position_wavefunction
 
@@ -180,8 +181,7 @@ def _csv(header: str, columns: str, rows: list[str]) -> str:
 
 
 def cmd_spectrum(args: argparse.Namespace) -> tuple[int, str]:
-    if args.j < 0:
-        raise ValueError(f"need j >= 0, got j={args.j}")
+    _integer(args.j, "j")
     if args.observable == "H":
         # The Hamiltonian's diagonal 2j - r + 1/2, sorted: exact half-integers.
         values = np.arange(2 * args.j + 1) + 0.5
@@ -268,11 +268,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _check_peak(args)
         code, text = _COMMANDS[args.command](args)
-    except (ValueError, IndexError) as exc:
+        # The one place that picks the destination and ends the text. It
+        # opens after the command ran, so a refused command creates no file.
+        with open(args.output, "w", encoding="utf-8") if args.output \
+                else contextlib.nullcontext(sys.stdout) as out:
+            print(text, file=out)
+    except (ValueError, IndexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    # The one place that picks the destination and ends the text.
-    with open(args.output, "w", encoding="utf-8") if args.output \
-            else contextlib.nullcontext(sys.stdout) as out:
-        print(text, file=out)
     return code

@@ -25,9 +25,11 @@ from .oscillator import _INV_SQRT2, ModelParams, _quarter_turns, analytic_U
 from .report import _DEFAULT_TOL, VerificationReport
 from .specfun import (
     _CACHE_SIZE,
+    _integer,
     _krawtchouk_exact,
     _krawtchouk_shift_table,
     _krawtchouk_table,
+    _probability,
     _ratio,
     krawtchouk_table,  # noqa: F401 - unused; kept for callers that patch each binding
 )
@@ -76,9 +78,7 @@ class EigenvalueMultiplicity(NamedTuple):
 
 def J_matrix(j: int) -> np.ndarray:
     """Diagonal J of the quarter-turn phases -i * i^r, r = 0..2j: V = J U, J^4 = I."""
-    if j < 0:
-        raise ValueError(f"need j >= 0, got j={j}")
-    return np.diag(_quarter_turns(2 * j + 1))
+    return np.diag(_quarter_turns(2 * _integer(j, "j") + 1))
 
 
 def fourier_spectral(params: ModelParams) -> FourierMatrix:
@@ -125,12 +125,11 @@ def S_closed(k: int, l: int, p: float, j: int) -> float:
     symmetry K~_{j-k}(n) = (-1)^n K~_k(n) and orthogonality elsewhere), which
     also covers the removable singularity of the closed form at k + l > j.
     """
+    k, l, j = _integer(k, "k", None), _integer(l, "l", None), _integer(j, "j", None)
     if not (0 <= k <= j and 0 <= l <= j):
         raise ValueError(f"need 0 <= k, l <= j, got k={k}, l={l}, j={j}")
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"need 0 < p < 1, got p={p}")
     k, l = max(k, l), min(k, l)
-    return _S_row(p, j, k, l)[l]
+    return _S_row(_probability(p), j, k, l)[l]
 
 
 @lru_cache(maxsize=_CACHE_SIZE)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import copysign, frexp, ldexp, sqrt
+from math import copysign, frexp, isfinite, ldexp, sqrt
 
 import numpy as np
 
@@ -194,8 +194,8 @@ def tridiag_eigen(offdiag, diag, tol: float = 1e-9) -> EigenResult:
         If an eigenvalue fails to converge within 30 sweeps, or the
         verified residual exceeds ``tol``.
     """
-    if tol <= 0.0:
-        raise ValueError(f"need tol > 0, got {tol}")
+    if not (isfinite(tol) and tol > 0.0):
+        raise ValueError(f"need a finite tol > 0, got tol={tol}")
     values, vectors, iterations = _ql(offdiag, diag, vectors=True)
     m = len(values)
     dense = np.zeros((m, m))

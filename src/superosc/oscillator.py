@@ -15,12 +15,11 @@ eigenvector onto its odd rows, and the (p, j-1) functions follow from the
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import krawtchouk_shift_table, krawtchouk_table
+from .specfun import _integer, _probability, krawtchouk_shift_table, krawtchouk_table
 
 __all__ = [
     "ModelParams",
@@ -46,12 +45,8 @@ class ModelParams:
     p: float
 
     def __post_init__(self) -> None:
-        # bool and integral floats such as 2.0 would fail later, inside the
-        # table assembly.
-        if isinstance(self.j, bool) or not isinstance(self.j, numbers.Integral) or self.j < 0:
-            raise ValueError(f"need integer j >= 0, got j={self.j!r}")
-        if isinstance(self.p, bool) or not 0.0 < self.p < 1.0:
-            raise ValueError(f"need 0 < p < 1, got p={self.p!r}")
+        _integer(self.j, "j")
+        _probability(self.p)
 
     @property
     def dim(self) -> int:
@@ -116,16 +111,13 @@ def hamiltonian_matrix(j: int) -> np.ndarray:
 
     As a set the spectrum is the equidistant ladder {n + 1/2 : n = 0..2j}.
     """
-    if j < 0:
-        raise ValueError(f"need j >= 0, got j={j}")
+    j = _integer(j, "j")
     return np.diag(2.0 * j - np.arange(2 * j + 1) + 0.5)
 
 
 def position_spectrum(j: int) -> np.ndarray:
     """Shared eigenvalue grid (-sqrt(j), ..., -1, 0, 1, ..., sqrt(j))."""
-    if j < 0:
-        raise ValueError(f"need j >= 0, got j={j}")
-    root = np.sqrt(np.arange(j + 1.0))
+    root = np.sqrt(np.arange(_integer(j, "j") + 1.0))
     return np.concatenate((-root[:0:-1], root))
 
 
@@ -241,8 +233,7 @@ def limit_U(j: int, side: str) -> np.ndarray:
     M_q(1-p) = R M_q(p) R for the anti-identity R, it equals R L diag((-1)^c),
     L the toward-zero limit and c the column index.
     """
-    if j < 0:
-        raise ValueError(f"need j >= 0, got j={j}")
+    j = _integer(j, "j")
     if side == "toward-zero":
         even, odd = [np.diag((-1.0) ** np.arange(size)) for size in (j + 1, j)]
     elif side == "toward-one":

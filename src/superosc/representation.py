@@ -14,6 +14,7 @@ import math
 import numpy as np
 
 from .report import VerificationReport
+from .specfun import _integer
 
 __all__ = [
     "GENERATORS",
@@ -59,8 +60,7 @@ def generator_matrix(name: str, j: int) -> np.ndarray:
     """
     if name not in GENERATORS:
         raise ValueError(f"unknown generator {name!r}")
-    if j < 0:
-        raise ValueError(f"need j >= 0, got j={j}")
+    j = _integer(j, "j")
     dim = 2 * j + 1
     mat = np.zeros((dim, dim))
     for col in range(dim):

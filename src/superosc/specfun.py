@@ -19,6 +19,7 @@ no second eigensolve. Internally both Krawtchouk builders take the pair
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache, partial
 
@@ -40,6 +41,39 @@ _ANCHOR_FLOOR = 1e-8
 # Tables kept per cache; a model reads one eigensolved and one shifted
 # Krawtchouk table.
 _CACHE_SIZE = 64
+
+
+# The input rule of every entry point, one helper per kind of input, each
+# returning the checked value. Every row read runs them: ABC isinstance checks
+# in place of class identity and operator.index would cost it a fifth.
+def _integer(value, name: str, least: int | None = 0) -> int:
+    # An int or numpy integer (not bool, not 2.0), at least `least` unless None.
+    try:
+        if value.__class__ is bool:
+            raise TypeError
+        checked = operator.index(value)
+    except TypeError:
+        raise ValueError(f"need an integer {name}, got {name}={value!r}") from None
+    if least is not None and checked < least:
+        raise ValueError(f"need {name} >= {least}, got {name}={checked}")
+    return checked
+
+
+def _probability(p) -> float:
+    # A real p inside (0, 1) as a float; bool and "0.5" are refused.
+    try:
+        if p.__class__ is not bool and 0.0 < p < 1.0:
+            return float(p)
+    except TypeError:
+        pass
+    raise ValueError(f"need 0 < p < 1, got p={p!r}")
+
+
+def _finite(value, name: str, above: float) -> float:
+    # A finite real greater than `above`, as a float.
+    if not (math.isfinite(value) and value > above):
+        raise ValueError(f"need a finite {name} > {above}, got {name}={value}")
+    return float(value)
 
 
 def _sturm_sign(diag: np.ndarray, off: np.ndarray, lam: np.ndarray,
@@ -115,12 +149,8 @@ def krawtchouk_table(p: float, N: int) -> np.ndarray:
     p = 1e-12, N = 150), neither its sign nor its magnitude is reliable: such
     row-0 entries can come out negative, e.g. -3.8e-95 there.
     """
-    if N < 0:
-        raise ValueError(f"need N >= 0, got N={N}")
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"need 0 < p < 1, got p={p}")
-    p = float(p)
-    return _krawtchouk_table(p, 1.0 - p, int(N))
+    N, p = _integer(N, "N"), _probability(p)
+    return _krawtchouk_table(p, 1.0 - p, N)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -157,17 +187,13 @@ def krawtchouk_shift_table(p: float, N: int) -> np.ndarray:
     signs (tested for N <= 2000, p from 1e-12 to 1 - 1e-12). Cached and
     read-only like :func:`krawtchouk_table`.
     """
-    if N < 1:
-        raise ValueError(f"need N >= 1, got N={N}")
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"need 0 < p < 1, got p={p}")
-    p = float(p)
-    return _krawtchouk_shift_table(p, 1.0 - p, int(N))
+    N, p = _integer(N, "N", 1), _probability(p)
+    return _krawtchouk_shift_table(p, 1.0 - p, N)
 
 
 def krawtchouk_normalized(n: int, x: int, p: float, N: int) -> float:
     """Orthonormal Krawtchouk function K~_n(x) = sqrt(w(x)/h(n)) K_n(x)."""
-    if not 0 <= n <= N or not 0 <= x <= N:
+    if not 0 <= _integer(n, "n", None) <= N or not 0 <= _integer(x, "x", None) <= N:
         raise ValueError(f"need 0 <= n, x <= N, got n={n}, x={x}, N={N}")
     return float(krawtchouk_table(p, N)[n, x])
 
@@ -199,17 +225,13 @@ def dual_hahn_table(gamma: float, delta: float, N: int) -> np.ndarray:
     lambda(x) = x(x+gamma+delta+1) in increasing order. The table is an
     orthogonal matrix; cached and read-only like :func:`krawtchouk_table`.
     """
-    if N < 0:
-        raise ValueError(f"need N >= 0, got N={N}")
-    for name, value in (("gamma", gamma), ("delta", delta)):
-        if not (math.isfinite(value) and value > -1):
-            raise ValueError(f"need a finite {name} > -1, got {name}={value}")
-    return _dual_hahn_table(float(gamma), float(delta), int(N))
+    N = _integer(N, "N")
+    return _dual_hahn_table(_finite(gamma, "gamma", -1), _finite(delta, "delta", -1), N)
 
 
 def dual_hahn_normalized(n: int, x: int, gamma: float, delta: float, N: int) -> float:
     """Orthonormal dual Hahn function sqrt(w(x)/h(n)) R_n(lambda(x))."""
-    if not 0 <= n <= N or not 0 <= x <= N:
+    if not 0 <= _integer(n, "n", None) <= N or not 0 <= _integer(x, "x", None) <= N:
         raise ValueError(f"need 0 <= n, x <= N, got n={n}, x={x}, N={N}")
     return float(dual_hahn_table(gamma, delta, N)[n, x])
 
@@ -233,10 +255,7 @@ def paraboson_even_wavefunction(n: int, c: float, x: float) -> float:
     |x|^(c+1/2) factor overflows long before the gamma prefactor can cancel
     it, so the factors must never be exponentiated separately.
     """
-    if n < 0:
-        raise ValueError(f"need n >= 0, got n={n}")
-    if not (math.isfinite(c) and c > 0):
-        raise ValueError(f"need a finite c > 0, got c={c}")
+    n, c = _integer(n, "n"), _finite(c, "c", 0)
     if x == 0.0:
         return 0.0
     series = _hyp1f1_series(n, c, x * x)

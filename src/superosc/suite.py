@@ -37,7 +37,10 @@ from .oscillator import (
 )
 from .report import _DEFAULT_TOL, VerificationReport
 from .specfun import (
+    _finite,
     _hyp2f1_rational,
+    _integer,
+    _probability,
     dual_hahn_table,
     krawtchouk_shift_table,
     krawtchouk_table,
@@ -254,18 +257,14 @@ def run_suite(j_max: int = 10, p_list: tuple[float, ...] = DEFAULT_P_LIST,
     stricter intrinsic accuracy (algebra relations, normalization,
     exact-arithmetic identities) keep their own tighter bounds.
     """
-    if j_max < 1:
-        raise ValueError(f"need j_max >= 1, got {j_max}")
+    j_max = _integer(j_max, "j_max", 1)
     if not p_list:
         raise ValueError("need at least one p in p_list")
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"need a finite tol > 0, got tol={tol}")
-    for p in p_list:
-        if not 0.0 < p < 1.0:
-            raise ValueError(f"need 0 < p < 1 throughout p_list, got {p}")
+    tol = _finite(tol, "tol", 0)
+    p_list = [_probability(p) for p in p_list]
     report = VerificationReport()
     for p in p_list:
         for j in range(1, j_max + 1):
-            _sweep_checks(report, j, float(p), tol)
+            _sweep_checks(report, j, p, tol)
     _fixed_checks(report, tol)
     return report

@@ -13,8 +13,6 @@ on a quadratic lattice.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -24,7 +22,10 @@ from .fourier import FourierMatrix
 from .oscillator import _INV_SQRT2, _QUARTER_TURNS, ModelParams, _level_row, position_spectrum
 from .specfun import (
     _CACHE_SIZE,
+    _finite,
+    _integer,
     _krawtchouk_exact,
+    _probability,
     _ratio,
     dual_hahn_table,
     krawtchouk_table,
@@ -64,11 +65,7 @@ class WaveTable:
 
 
 def _check_level(params: ModelParams, n: int) -> None:
-    # Levels follow the rule ModelParams applies to j: bool and integral
-    # floats such as 2.0 are not levels.
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
-        raise ValueError(f"need an integer level, got n={n!r}")
-    if not 0 <= n <= 2 * params.j:
+    if not 0 <= _integer(n, "n", None) <= 2 * params.j:
         raise IndexError(f"level must lie in 0..{2 * params.j}, got n={n}")
 
 
@@ -189,18 +186,11 @@ def paraboson_limit_table(j: int, p: float, alpha: float, n: int,
         If the request exhausts the grid (grid_count > j), or alpha is not
         finite and positive.
     """
-    if j < 1:
-        raise ValueError(f"need j >= 1, got j={j}")
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"need 0 < p < 1, got p={p}")
-    if not (math.isfinite(alpha) and alpha > 0):
-        raise ValueError(f"need a finite alpha > 0, got alpha={alpha}")
-    if not 0 <= n <= j:
+    j, p, alpha = _integer(j, "j", 1), _probability(p), _finite(alpha, "alpha", 0)
+    if not 0 <= _integer(n, "n", None) <= j:
         raise ValueError(f"need 0 <= n <= j, got n={n}")
-    if grid_count > j:
+    if _integer(grid_count, "grid_count", 1) > j:
         raise ValueError(f"grid exhausted: grid_count={grid_count} exceeds j={j}")
-    if grid_count < 1:
-        raise ValueError(f"need grid_count >= 1, got {grid_count}")
     gamma, delta = 2.0 * p * alpha, 2.0 * (1.0 - p) * alpha
     k = np.arange(1, grid_count + 1)
     x = np.sqrt(k * (k + 2.0 * alpha + 1.0) / j)

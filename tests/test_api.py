@@ -27,10 +27,11 @@ def test_every_exported_name_resolves(module):
         assert hasattr(mod, name), f"{mod.__name__}.{name}"
 
 
-# Input checks that no other test reaches: (public name, arguments, message).
+# Input checks that no other test reaches: (public name, arguments, message),
+# with a label that tells apart the rows added for a name that already had one.
 _REFUSED = (
-    ("run_suite", (0,), "need j_max >= 1, got 0"),
-    ("run_suite", (1, (0.5, 1.0)), "need 0 < p < 1 throughout p_list, got 1.0"),
+    ("run_suite", (0,), "need j_max >= 1, got j_max=0"),
+    ("run_suite", (1, (0.5, 1.0)), "need 0 < p < 1, got p=1.0"),
     ("hamiltonian_matrix", (-1,), "need j >= 0, got j=-1"),
     ("position_spectrum", (-1,), "need j >= 0, got j=-1"),
     ("limit_U", (-1, "toward-zero"), "need j >= 0, got j=-1"),
@@ -38,14 +39,37 @@ _REFUSED = (
     ("krawtchouk_table", (0.3, -1), "need N >= 0, got N=-1"),
     ("dual_hahn_table", (1.0, 1.0, -1), "need N >= 0, got N=-1"),
     ("dual_hahn_normalized", (5, 0, 1.0, 1.0, 4), "need 0 <= n, x <= N, got n=5, x=0, N=4"),
-    ("paraboson_limit_table", (5, 0.5, 10.0, 0, 0), "need grid_count >= 1, got 0"),
+    ("paraboson_limit_table", (5, 0.5, 10.0, 0, 0), "need grid_count >= 1, got grid_count=0"),
     ("tridiag_eigen", ([math.nan], [0.0, 0.0]), "inputs must be finite"),
     ("krawtchouk_exact", (1, 1, 3, 2, 4), "need 0 < p_num < p_den, got 3/2"),
+    # Sizes, p and bounds of every kind that once gave a wrong answer, a
+    # TypeError or an IndexError.
+    ("position_spectrum", (2.5,), "need an integer j, got j=2.5", "float"),
+    ("position_spectrum", (True,), "need an integer j, got j=True", "bool"),
+    ("hamiltonian_matrix", (True,), "need an integer j, got j=True", "bool"),
+    ("hamiltonian_matrix", (2.5,), "need an integer j, got j=2.5", "float"),
+    ("krawtchouk_table", (0.3, 2.5), "need an integer N, got N=2.5", "float"),
+    ("krawtchouk_shift_table", (0.3, 2.5), "need an integer N, got N=2.5"),
+    ("dual_hahn_table", (1.0, 1.0, 2.5), "need an integer N, got N=2.5", "float"),
+    ("paraboson_limit_table", (20.5, 0.5, 10.0, 0, 3), "need an integer j, got j=20.5",
+     "float"),
+    ("limit_U", (2.0, "toward-zero"), "need an integer j, got j=2.0", "float"),
+    ("generator_matrix", ("H", 2.5), "need an integer j, got j=2.5"),
+    ("S_closed", (1.5, 0, 0.3, 3), "need an integer k, got k=1.5"),
+    ("run_suite", (2.5,), "need an integer j_max, got j_max=2.5", "float"),
+    ("paraboson_even_wavefunction", (1.5, 3.0, 2.0), "need an integer n, got n=1.5"),
+    ("ModelParams", (2, "0.5"), "need 0 < p < 1, got p='0.5'"),
+    ("J_matrix", (2.5,), "need an integer j, got j=2.5", "float"),
+    ("krawtchouk_normalized", (1.5, 0, 0.3, 3), "need an integer n, got n=1.5"),
+    ("tridiag_eigen", ([1.0], [0.0, 0.0], math.nan), "need a finite tol > 0, got tol=nan",
+     "nan-tol"),
+    ("tridiag_eigen", ([1.0], [0.0, 0.0], math.inf), "need a finite tol > 0, got tol=inf",
+     "inf-tol"),
 )
 
 
-@pytest.mark.parametrize("name,args,message", _REFUSED,
-                         ids=[name for name, _, _ in _REFUSED])
+@pytest.mark.parametrize("name,args,message", [row[:3] for row in _REFUSED],
+                         ids=["-".join((row[0], *row[3:])) for row in _REFUSED])
 def test_input_checks_raise_their_message(name, args, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         getattr(superosc, name)(*args)

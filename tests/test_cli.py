@@ -257,6 +257,13 @@ def test_failed_call_writes_nothing(tmp_path, capsys, argv, expected):
     assert not target.exists()
 
 
+@pytest.mark.parametrize("target", ["", "missing/out.txt"],
+                         ids=["directory", "missing-directory"])
+def test_unwritable_output_exits_3(tmp_path, capsys, target):
+    code, out, err = run(capsys, "spectrum", "--j", "2", "--output", str(tmp_path / target))
+    assert (code, out) == (3, "") and err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_deterministic_output(capsys):
     _, first, _ = run(capsys, "fourier", "--j", "5", "--p", "0.37", "--format", "csv")
     _, second, _ = run(capsys, "fourier", "--j", "5", "--p", "0.37", "--format", "csv")
