@@ -1,22 +1,25 @@
 """Discrete Fourier transform matrix of the finite oscillator.
 
 The transform F maps position wave vectors to momentum ones, V = J U = U F.
-It is built by two independent routes: spectrally as U^T J U from the
-position eigenvector matrix and the diagonal matrix J of the quarter-turn
-rule in :mod:`superosc.oscillator`, and entry-wise from the overlaps
-S(k, l; p, j), which carry no phase table. The overlaps are themselves
-normalized Krawtchouk functions at w = 4p(1-p), so the entry-wise route
-reads Krawtchouk tables at w where the spectral route reads them at p.
-The closed 2F1 form of each overlap is also evaluated in exact integers
-(:func:`S_closed`), the eigensolver-free reference for both. F is
-symmetric, unitary, satisfies F^4 = I, and its eigenvalue multiplicities
-follow a parity rule in j.
+F is fixed by two real overlap tables, S(p, j) of size (j+1)^2 and
+S(p, j-1) of size j^2, and a :class:`FourierMatrix` holds just those; its
+dense complex (2j+1)^2 matrix is laid out from them on first read. The
+tables come by two independent routes. The spectral route is U^T J U,
+split by row parity: U's even rows are the (p, j) Krawtchouk table and its
+odd rows the (p, j-1) one, so S(p, j) = T diag(s_e) T^T and
+S(p, j-1) = T' diag(s_o) T'^T, with the signs s_e, s_o read off the
+diagonal of J, the quarter-turn rule of :mod:`superosc.oscillator`. The
+entry-wise route reads the overlaps S(k, l; p, j) as normalized Krawtchouk
+functions at w = 4p(1-p), with no phase table. The closed 2F1 form of each
+overlap is also evaluated in exact integers (:func:`S_closed`), the
+eigensolver-free reference for both. F is symmetric, unitary, satisfies
+F^4 = I, and its eigenvalue multiplicities follow a parity rule in j.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -31,7 +34,8 @@ from .specfun import (
     _krawtchouk_table,
     _probability,
     _ratio,
-    krawtchouk_table,  # noqa: F401 - unused; kept for callers that patch each binding
+    krawtchouk_shift_table,
+    krawtchouk_table,
 )
 
 __all__ = [
@@ -47,13 +51,34 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FourierMatrix:
-    """Complex (2j+1)x(2j+1) transform with axes labeled -j..j.
+    """Complex (2j+1)x(2j+1) transform with axes labeled -j..j, held as its tables.
 
-    ``data`` is indexed 0..2j; :meth:`entry` applies the centered labels.
+    ``even`` is the (j+1)x(j+1) overlap table S(p, j) and ``odd`` the j x j
+    table S(p, j-1), both symmetric. ``data``, the dense matrix indexed
+    0..2j, is laid out from them on first read and kept; :meth:`entry`
+    applies the centered labels.
     """
 
-    data: np.ndarray
-    j: int
+    even: np.ndarray
+    odd: np.ndarray
+
+    def __post_init__(self) -> None:
+        n = len(self.even)
+        if self.even.shape != (n, n) or self.odd.shape != (n - 1, n - 1):
+            raise ValueError(f"need (j+1)x(j+1) and j x j tables, "
+                             f"got {self.even.shape} and {self.odd.shape}")
+
+    @property
+    def j(self) -> int:
+        return len(self.even) - 1
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (2 * self.j + 1,) * 2
+
+    @cached_property
+    def data(self) -> np.ndarray:
+        return _fourier_blocks(self.even, self.odd)
 
     def entry(self, k: int, l: int) -> complex:
         """Entry F_{k,l} for centered labels k, l in -j..j."""
@@ -81,10 +106,32 @@ def J_matrix(j: int) -> np.ndarray:
     return np.diag(_quarter_turns(2 * _integer(j, "j") + 1))
 
 
+def _signed_gram(table: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    # table diag(signs) table^T, made exactly symmetric by averaging with
+    # its transpose (the halving is exact). In place: one temporary of the
+    # table's size besides the result.
+    gram = (table * signs) @ table.T
+    gram += gram.T
+    gram *= 0.5
+    return gram
+
+
 def fourier_spectral(params: ModelParams) -> FourierMatrix:
-    """Transform via the spectral route U^T J U."""
-    u = analytic_U(params)
-    return FourierMatrix((u.T * _quarter_turns(params.dim)[None, :]) @ u, params.j)
+    """Transform via the spectral route U^T J U, in table space.
+
+    Row r of U carries (-1)^(r//2) times a column of the (p, j) table T on
+    even r and of the (p, j-1) table T' on odd r, so U^T J U splits by row
+    parity and the signs square away: the even rows give
+    S(p, j) = T diag(s_e) T^T with s_e = Re(i J[2n, 2n]), the odd rows
+    S(p, j-1) = T' diag(s_o) T'^T with s_o = Re(J[2n+1, 2n+1]). Two real
+    (j+1)^3 products; no U is assembled.
+    """
+    p, j = params.p, params.j
+    phases = _quarter_turns(params.dim)
+    even = _signed_gram(krawtchouk_table(p, j), (1j * phases[0::2]).real)
+    odd = (_signed_gram(krawtchouk_shift_table(p, j), phases[1::2].real) if j
+           else np.empty((0, 0)))
+    return FourierMatrix(even, odd)
 
 
 def _S_row(p: float, j: int, k: int, top: int) -> list[float]:
@@ -193,6 +240,31 @@ def _fourier_blocks(s_j: np.ndarray, s_odd: np.ndarray) -> np.ndarray:
     return mat
 
 
+def _apply_blocks(phi: np.ndarray, even: np.ndarray, odd: np.ndarray) -> np.ndarray:
+    # phi @ F for F laid out from its overlap tables as _fourier_blocks does,
+    # with the same block coefficients. The mirror halves of each row,
+    # phi+ at labels k = 1..j and phi- at -k, meet the interior blocks only
+    # as sigma = phi+ + phi- (through -(i/2) S) and delta = phi+ - phi-
+    # (through S'/2), and the center and edges read S's row 0. A complex
+    # stack runs as its real and imaginary halves, so every product is real.
+    if np.iscomplexobj(phi):
+        both = _apply_blocks(np.concatenate((phi.real, phi.imag)), even, odd)
+        return both[:len(phi)] + 1j * both[len(phi):]
+    j = len(even) - 1
+    center, plus, minus = phi[:, j], phi[:, j + 1:], phi[:, :j][:, ::-1]
+    sums = (plus + minus) @ even[1:]
+    half = 0.5 * ((plus - minus) @ odd)
+    out = np.empty((len(phi), 2 * j + 1), dtype=complex)
+    re, im = out.real, out.imag
+    re[:, j] = 0.0
+    im[:, j] = -(center * even[0, 0]) - _INV_SQRT2 * sums[:, 0]
+    im[:, j + 1:] = -_INV_SQRT2 * (center[:, None] * even[0, 1:]) - 0.5 * sums[:, 1:]
+    im[:, :j] = im[:, :j:-1]
+    re[:, j + 1:] = half
+    np.negative(half[:, ::-1], out=re[:, :j])
+    return out
+
+
 def fourier_analytic(params: ModelParams) -> FourierMatrix:
     """Transform assembled entry-wise from the overlaps S(k, l; p, j).
 
@@ -209,8 +281,7 @@ def fourier_analytic(params: ModelParams) -> FourierMatrix:
     big integers; at p = 1/2 they are the exact anti-identity. The entries
     agree with the exact overlaps of :func:`S_closed` to about 1e-14.
     """
-    j, p = params.j, float(params.p)
-    return FourierMatrix(_fourier_blocks(*_S_krawtchouk(p, j)), j)
+    return FourierMatrix(*_S_krawtchouk(float(params.p), params.j))
 
 
 def expected_multiplicities(j: int) -> EigenvalueMultiplicity:

@@ -70,10 +70,13 @@ def _probability(p) -> float:
 
 
 def _finite(value, name: str, above: float) -> float:
-    # A finite real greater than `above`, as a float.
-    if not (math.isfinite(value) and value > above):
-        raise ValueError(f"need a finite {name} > {above}, got {name}={value}")
-    return float(value)
+    # A finite real greater than `above`, as a float; "1.0" is refused.
+    try:
+        if math.isfinite(value) and value > above:
+            return float(value)
+    except TypeError:
+        pass
+    raise ValueError(f"need a finite {name} > {above}, got {name}={value!r}")
 
 
 def _sturm_sign(diag: np.ndarray, off: np.ndarray, lam: np.ndarray,

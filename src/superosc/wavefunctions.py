@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fourier import FourierMatrix
+from .fourier import FourierMatrix, _apply_blocks
 from .oscillator import _INV_SQRT2, _QUARTER_TURNS, ModelParams, _level_row, position_spectrum
 from .specfun import (
     _CACHE_SIZE,
@@ -159,13 +159,17 @@ def apply_fourier(phi_stack: np.ndarray, transform: FourierMatrix | np.ndarray) 
 
     Rows of ``phi_stack`` are position wave functions sampled on the grid;
     returns the matching stack of momentum wave vectors (stack @ F). With
-    the full eigenvector matrix as the stack this realizes V = U F.
+    the full eigenvector matrix as the stack this realizes V = U F. A
+    :class:`~superosc.fourier.FourierMatrix` is applied from its two real
+    overlap tables, two real products of (j+1)^2 and j^2 per row, and its
+    dense matrix is not read; a plain array is multiplied as it is.
     """
     phi = np.asarray(phi_stack)
-    mat = np.asarray(transform)
+    tables = isinstance(transform, FourierMatrix)
+    mat = transform if tables else np.asarray(transform)
     if phi.ndim != 2 or phi.shape[1] != mat.shape[0]:
         raise ValueError(f"shape mismatch: stack {phi.shape} vs transform {mat.shape}")
-    return phi @ mat
+    return _apply_blocks(phi, mat.even, mat.odd) if tables else phi @ mat
 
 
 def paraboson_limit_table(j: int, p: float, alpha: float, n: int,

@@ -65,6 +65,12 @@ _REFUSED = (
      "nan-tol"),
     ("tridiag_eigen", ([1.0], [0.0, 0.0], math.inf), "need a finite tol > 0, got tol=inf",
      "inf-tol"),
+    # Continuum parameters and tolerances given as strings.
+    ("dual_hahn_table", ("1.0", 1.0, 3), "need a finite gamma > -1, got gamma='1.0'", "str"),
+    ("paraboson_limit_table", (20, 0.5, "1", 0, 3), "need a finite alpha > 0, got alpha='1'",
+     "str"),
+    ("paraboson_even_wavefunction", (1, "3", 2.0), "need a finite c > 0, got c='3'", "str"),
+    ("run_suite", (2, (0.5,), "1e-10"), "need a finite tol > 0, got tol='1e-10'", "str"),
 )
 
 

@@ -1,12 +1,13 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superosc import fourier, specfun
+from superosc import fourier, oscillator, specfun
 from superosc import (
     J_matrix,
     ModelParams,
@@ -65,6 +66,51 @@ def test_spectral_square_is_the_mirror_at_large_j(p):
     f = fourier_spectral(ModelParams(j, p)).data
     mirror = np.eye(2 * j + 1)[::-1]
     assert np.max(np.abs(f @ f + mirror)) <= 2e-14
+
+
+@pytest.mark.parametrize("j", [0, 1, 2, 7, 72, 300])
+@pytest.mark.parametrize("p", [0.3, 0.5, 0.9])
+def test_spectral_tables_and_matrix_are_exactly_symmetric(j, p):
+    f = fourier_spectral(ModelParams(j, p))
+    assert f.j == j and f.even.shape == (j + 1, j + 1) and f.odd.shape == (j, j)
+    for mat in (f.even, f.odd, f.data):
+        assert np.array_equal(mat, mat.T)
+
+
+def test_spectral_route_stays_in_table_space():
+    # Warm tables: two (j+1)^2 products and their two results, about 6 B per
+    # (2j+1)^2 entry; the dense matrix alone would take 16 and U^T J U
+    # took 56.
+    params = ModelParams(1000, 0.3)
+    fourier_spectral(params)
+    tracemalloc.start()
+    try:
+        f = fourier_spectral(params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * params.dim ** 2
+    assert "data" not in vars(f)
+
+
+def test_dense_matrix_is_built_once_from_the_tables():
+    f = fourier_spectral(ModelParams(5, 0.3))
+    assert f.data is f.data and np.asarray(f) is f.data
+    assert np.array_equal(f.data, fourier._fourier_blocks(f.even, f.odd))
+
+
+@pytest.mark.parametrize("where, wrong", [(0, 1j), (1, -1.0), (2, 1.0), (3, -1j)])
+def test_route_agreement_catches_one_wrong_quarter_turn(monkeypatch, where, wrong):
+    # The spectral route reads J's diagonal; the analytic route reads no
+    # phase table, so only their agreement (and F U^T = U^T J) sees the fault.
+    params = ModelParams(j=4, p=0.3)
+    table = oscillator._QUARTER_TURNS.copy()
+    table[where] = wrong
+    monkeypatch.setattr(oscillator, "_QUARTER_TURNS", table)
+    report, _ = fourier_eigensystem_report(params)
+    passed = {c.name.removeprefix("j=4 p=0.3 "): c.passed for c in report.checks}
+    assert not passed["route agreement"]
+    assert all(passed[f"analytic {prop}"] for prop in ("symmetric", "unitary", "fourth power = I"))
 
 
 def test_spectral_route_j1_half():

@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 from superosc import (
+    FourierMatrix,
     ModelParams,
     analytic_U,
     analytic_V,
     apply_fourier,
     fourier_analytic,
+    fourier_spectral,
     momentum_wavefunction,
     node_count,
     paraboson_limit_table,
@@ -207,6 +209,51 @@ def test_apply_fourier_identity_passthrough():
 def test_apply_fourier_shape_check():
     with pytest.raises(ValueError):
         apply_fourier(np.ones((2, 4)), np.eye(3))
+
+
+@pytest.mark.parametrize("route", [fourier_analytic, fourier_spectral])
+@pytest.mark.parametrize("j", [0, 1, 2, 7, 72, 300])
+@pytest.mark.parametrize("p", [0.3, 0.5, 0.9])
+def test_apply_fourier_from_tables_matches_the_dense_product(route, j, p):
+    # Real stacks (rows of U) and complex ones (rows of V), both mirror
+    # halves included; j = 0 has empty halves.
+    params = ModelParams(j, p)
+    transform = route(params)
+    rows = sorted({0, 1, 2, j, params.dim - 2, params.dim - 1} & set(range(params.dim)))
+    for stack in (analytic_U(params)[rows], analytic_V(params)[rows]):
+        mapped = apply_fourier(stack, transform)
+        assert mapped.shape == stack.shape and mapped.dtype == complex
+        assert np.max(np.abs(mapped - stack @ transform.data)) <= 1e-14
+
+
+@pytest.mark.parametrize("stack", [np.ones((2, 4)), np.ones(5), np.ones((1, 2, 5))])
+def test_apply_fourier_from_tables_checks_the_shape(stack):
+    with pytest.raises(ValueError, match="shape mismatch"):
+        apply_fourier(stack, fourier_spectral(ModelParams(2, 0.3)))
+
+
+def test_transform_refuses_tables_of_unmatched_sizes():
+    with pytest.raises(ValueError, match="tables"):
+        FourierMatrix(np.eye(3), np.eye(3))
+
+
+@pytest.mark.parametrize("route", [fourier_analytic, fourier_spectral])
+@pytest.mark.parametrize("rows", [[0, 1, 2, 3], [5, 9, 300, 600]])
+def test_apply_fourier_of_a_few_rows_allocates_no_table_sized_temporary(route, rows):
+    # The dense transform takes 16 B per (2j+1)^2 entry and a table 8 B per
+    # (j+1)^2 one; four rows mapped through the tables stay below half a
+    # table (about 0.12 and 0.3 of one for real and complex rows at j = 300).
+    params = ModelParams(300, 0.3)
+    transform = route(params)
+    for stack in (analytic_U(params)[rows], analytic_V(params)[rows]):
+        tracemalloc.start()
+        try:
+            apply_fourier(stack, transform)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (params.j + 1) ** 2 // 2
+    assert "data" not in vars(transform)
 
 
 def test_limit_table_shape_and_lattice():
