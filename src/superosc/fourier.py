@@ -3,7 +3,8 @@
 The transform F maps position wave vectors to momentum ones, V = J U = U F.
 F is fixed by two real overlap tables, S(p, j) of size (j+1)^2 and
 S(p, j-1) of size j^2, and a :class:`FourierMatrix` holds just those; its
-dense complex (2j+1)^2 matrix is laid out from them on first read. The
+dense complex (2j+1)^2 matrix is laid out from them on first read, and
+:func:`apply_fourier` maps wave vectors through them in the same layout. The
 tables come by two independent routes. The spectral route is U^T J U,
 split by row parity: U's even rows are the (p, j) Krawtchouk table and its
 odd rows the (p, j-1) one, so S(p, j) = T diag(s_e) T^T and
@@ -28,6 +29,7 @@ from .oscillator import _INV_SQRT2, ModelParams, _quarter_turns, analytic_U
 from .report import _DEFAULT_TOL, VerificationReport
 from .specfun import (
     _CACHE_SIZE,
+    _finite,
     _integer,
     _krawtchouk_exact,
     _krawtchouk_shift_table,
@@ -45,6 +47,7 @@ __all__ = [
     "fourier_spectral",
     "S_closed",
     "fourier_analytic",
+    "apply_fourier",
     "expected_multiplicities",
     "fourier_eigensystem_report",
 ]
@@ -56,13 +59,19 @@ class FourierMatrix:
     ``even`` is the (j+1)x(j+1) overlap table S(p, j) and ``odd`` the j x j
     table S(p, j-1), both symmetric. ``data``, the dense matrix indexed
     0..2j, is laid out from them on first read and kept; :meth:`entry`
-    applies the centered labels.
+    applies the centered labels. The transform is read-only: it holds its
+    tables as read-only views, ``data`` is read-only, and ``np.array(f)``
+    returns a writable copy while ``np.asarray(f)`` returns ``data`` itself.
     """
 
     even: np.ndarray
     odd: np.ndarray
 
     def __post_init__(self) -> None:
+        for name in ("even", "odd"):
+            table = getattr(self, name).view()
+            table.flags.writeable = False
+            object.__setattr__(self, name, table)
         n = len(self.even)
         if self.even.shape != (n, n) or self.odd.shape != (n - 1, n - 1):
             raise ValueError(f"need (j+1)x(j+1) and j x j tables, "
@@ -78,7 +87,9 @@ class FourierMatrix:
 
     @cached_property
     def data(self) -> np.ndarray:
-        return _fourier_blocks(self.even, self.odd)
+        mat = _fourier_blocks(self.even, self.odd)
+        mat.flags.writeable = False
+        return mat
 
     def entry(self, k: int, l: int) -> complex:
         """Entry F_{k,l} for centered labels k, l in -j..j."""
@@ -87,8 +98,12 @@ class FourierMatrix:
         return complex(self.data[self.j + k, self.j + l])
 
     def __array__(self, dtype=None, copy=None):
-        if dtype is None:
-            return self.data
+        # numpy 2's protocol: copy=True always copies; copy=False never does,
+        # so a dtype change then raises; None copies only for a dtype change.
+        if dtype is None or np.dtype(dtype) == self.data.dtype:
+            return self.data.copy() if copy else self.data
+        if copy is False:
+            raise ValueError(f"converting the transform to {np.dtype(dtype)} needs a copy")
         return self.data.astype(dtype)
 
 
@@ -201,27 +216,6 @@ def _sigma(table: np.ndarray, p: float) -> np.ndarray:
     return table * np.multiply.outer(alt[::-1], alt)
 
 
-def _S_krawtchouk(p: float, j: int) -> tuple[np.ndarray, np.ndarray]:
-    # S(., .; p, j) and S(., .; p, j-1) from Krawtchouk tables at
-    # w = 4p(1-p): with 1 - w = (1-2p)^2, the prefactor of the closed form
-    # is the norm factor sqrt(w(l)/h(k)) of the binomial weight at w, and
-    # 2F1(-k, -l; -j; 1/w) = K_k(l; w, j), so S(k, l; p, j) = sigma K~_k(l; w, j).
-    # The (w, j-1) table is the forward shift of the (w, j) one: one
-    # eigensolve in all. The pair (w, q) = (4p(1-p), (1-2p)^2) goes to the
-    # builder as formed, since 1.0 - w would lose up to 1.7e-8 near p = 1/2.
-    # At p = 1/2 (q = 0) the family is at its endpoint w = 1, the
-    # anti-identity.
-    q = (1.0 - 2.0 * p) ** 2
-    if q == 0.0:
-        return np.eye(j + 1)[::-1], np.eye(j)[::-1]
-    w = 4.0 * p * (1.0 - p)
-    odd = _krawtchouk_shift_table(w, q, j) if j else np.empty((0, 0))
-    tables = _krawtchouk_table(w, q, j), odd
-    # S is symmetric; the tables are so only to the eigensolver's error,
-    # whose antisymmetric part the average removes.
-    return tuple(_sigma(0.5 * (t + t.T), p) for t in tables)
-
-
 def _fourier_blocks(s_j: np.ndarray, s_odd: np.ndarray) -> np.ndarray:
     # F from the overlap tables s = S(., .; p, j) and s' = S(., .; p, j-1).
     j = len(s_j) - 1
@@ -240,17 +234,31 @@ def _fourier_blocks(s_j: np.ndarray, s_odd: np.ndarray) -> np.ndarray:
     return mat
 
 
-def _apply_blocks(phi: np.ndarray, even: np.ndarray, odd: np.ndarray) -> np.ndarray:
-    # phi @ F for F laid out from its overlap tables as _fourier_blocks does,
-    # with the same block coefficients. The mirror halves of each row,
-    # phi+ at labels k = 1..j and phi- at -k, meet the interior blocks only
-    # as sigma = phi+ + phi- (through -(i/2) S) and delta = phi+ - phi-
-    # (through S'/2), and the center and edges read S's row 0. A complex
-    # stack runs as its real and imaginary halves, so every product is real.
-    if np.iscomplexobj(phi):
-        both = _apply_blocks(np.concatenate((phi.real, phi.imag)), even, odd)
-        return both[:len(phi)] + 1j * both[len(phi):]
-    j = len(even) - 1
+def apply_fourier(phi_stack: np.ndarray, transform: FourierMatrix) -> np.ndarray:
+    """Map stacked position wave vectors through the discrete transform.
+
+    Rows of ``phi_stack`` are position wave functions sampled on the grid;
+    returns the matching stack of momentum wave vectors, stack @ F. With
+    the full eigenvector matrix as the stack this realizes V = U F. F is
+    applied from its two real overlap tables with the block coefficients
+    of its dense layout, two real products of (j+1)^2 and j^2 per row, and
+    the dense matrix is not read.
+    """
+    if not isinstance(transform, FourierMatrix):
+        raise ValueError(f"need a FourierMatrix transform, got {type(transform).__name__}")
+    phi = np.asarray(phi_stack)
+    if phi.ndim != 2 or phi.shape[1] != transform.shape[0]:
+        raise ValueError(f"shape mismatch: stack {phi.shape} vs transform {transform.shape}")
+    # A complex stack runs as its real and imaginary halves, so every
+    # product is real.
+    rows, split = len(phi), np.iscomplexobj(phi)
+    if split:
+        phi = np.concatenate((phi.real, phi.imag))
+    # The mirror halves of each row, phi+ at labels k = 1..j and phi- at -k,
+    # meet the interior blocks only as sigma = phi+ + phi- (through
+    # -(i/2) S) and delta = phi+ - phi- (through S'/2), and the center and
+    # edges read S's row 0.
+    even, odd, j = transform.even, transform.odd, transform.j
     center, plus, minus = phi[:, j], phi[:, j + 1:], phi[:, :j][:, ::-1]
     sums = (plus + minus) @ even[1:]
     half = 0.5 * ((plus - minus) @ odd)
@@ -262,7 +270,7 @@ def _apply_blocks(phi: np.ndarray, even: np.ndarray, odd: np.ndarray) -> np.ndar
     im[:, :j] = im[:, :j:-1]
     re[:, j + 1:] = half
     np.negative(half[:, ::-1], out=re[:, :j])
-    return out
+    return out[:rows] + 1j * out[rows:] if split else out
 
 
 def fourier_analytic(params: ModelParams) -> FourierMatrix:
@@ -281,11 +289,27 @@ def fourier_analytic(params: ModelParams) -> FourierMatrix:
     big integers; at p = 1/2 they are the exact anti-identity. The entries
     agree with the exact overlaps of :func:`S_closed` to about 1e-14.
     """
-    return FourierMatrix(*_S_krawtchouk(float(params.p), params.j))
+    # With 1 - w = (1-2p)^2, the prefactor of the closed form is the norm
+    # factor sqrt(w(l)/h(k)) of the binomial weight at w, and
+    # 2F1(-k, -l; -j; 1/w) = K_k(l; w, j). The (w, j-1) table is the forward
+    # shift of the (w, j) one. The pair (w, q) = (4p(1-p), (1-2p)^2) goes to
+    # the table routines as formed, since 1.0 - w would lose up to 1.7e-8
+    # near p = 1/2. At p = 1/2 (q = 0) the family is at its endpoint w = 1.
+    p, j = params.p, params.j
+    q = (1.0 - 2.0 * p) ** 2
+    if q == 0.0:
+        return FourierMatrix(np.eye(j + 1)[::-1], np.eye(j)[::-1])
+    w = 4.0 * p * (1.0 - p)
+    odd = _krawtchouk_shift_table(w, q, j) if j else np.empty((0, 0))
+    # S is symmetric; the tables are so only to the eigensolver's error,
+    # whose antisymmetric part the average removes.
+    tables = _krawtchouk_table(w, q, j), odd
+    return FourierMatrix(*(_sigma(0.5 * (t + t.T), p) for t in tables))
 
 
 def expected_multiplicities(j: int) -> EigenvalueMultiplicity:
     """Parity rule: j = 2n gives (n+1, n, n, n); j = 2n+1 gives (n+1, n+1, n+1, n)."""
+    j = _integer(j, "j")
     if j % 2 == 0:
         n = j // 2
         return EigenvalueMultiplicity(n + 1, n, n, n)
@@ -303,6 +327,7 @@ def fourier_eigensystem_report(
     eigenvectors (F U^T = U^T J); and that the multiplicities of
     (-i, 1, i, -1) read off the diagonal of J match the parity rule.
     """
+    tol = _finite(tol, "tol", 0)
     j = params.j
     dim = params.dim
     u = analytic_U(params)

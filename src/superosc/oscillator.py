@@ -39,14 +39,18 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Model inputs: non-negative integer j and mixing parameter p in (0,1)."""
+    """Model inputs: non-negative integer j and mixing parameter p in (0,1).
+
+    Both are stored as checked: j as an int and p as a float, whatever
+    integer or real type the caller passed.
+    """
 
     j: int
     p: float
 
     def __post_init__(self) -> None:
-        _integer(self.j, "j")
-        _probability(self.p)
+        object.__setattr__(self, "j", _integer(self.j, "j"))
+        object.__setattr__(self, "p", _probability(self.p))
 
     @property
     def dim(self) -> int:

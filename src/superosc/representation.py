@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .report import VerificationReport
-from .specfun import _integer
+from .specfun import _finite, _integer
 
 __all__ = [
     "GENERATORS",
@@ -163,6 +163,7 @@ def verify_superalgebra(j: int, tol: float = 1e-12) -> VerificationReport:
     combination the algebra prescribes; the report holds the max-norm
     residual per relation.
     """
+    tol = _finite(tol, "tol", 0)
     mats = {name: generator_matrix(name, j) for name in GENERATORS}
     report = VerificationReport()
     for label, (left, right), rhs in _RELATIONS:
@@ -177,6 +178,7 @@ def verify_superalgebra(j: int, tol: float = 1e-12) -> VerificationReport:
 
 def verify_star(j: int, tol: float = 1e-12) -> VerificationReport:
     """Check the adjoint conditions that make the module a star representation."""
+    tol = _finite(tol, "tol", 0)
     mats = {name: generator_matrix(name, j) for name in GENERATORS}
     report = VerificationReport()
     for label, name, (partner, coeff) in _STAR_CONDITIONS:

@@ -30,7 +30,6 @@ __all__ = [
     "krawtchouk_normalized",
     "krawtchouk_table",
     "krawtchouk_shift_table",
-    "dual_hahn_normalized",
     "dual_hahn_table",
     "paraboson_even_wavefunction",
 ]
@@ -69,14 +68,16 @@ def _probability(p) -> float:
     raise ValueError(f"need 0 < p < 1, got p={p!r}")
 
 
-def _finite(value, name: str, above: float) -> float:
-    # A finite real greater than `above`, as a float; "1.0" is refused.
+def _finite(value, name: str, above: float | None = None) -> float:
+    # A finite real, greater than `above` unless None, as a float; "1.0" is
+    # refused.
     try:
-        if math.isfinite(value) and value > above:
+        if math.isfinite(value) and (above is None or value > above):
             return float(value)
     except TypeError:
         pass
-    raise ValueError(f"need a finite {name} > {above}, got {name}={value!r}")
+    bound = "" if above is None else f" > {above}"
+    raise ValueError(f"need a finite {name}{bound}, got {name}={value!r}")
 
 
 def _sturm_sign(diag: np.ndarray, off: np.ndarray, lam: np.ndarray,
@@ -232,13 +233,6 @@ def dual_hahn_table(gamma: float, delta: float, N: int) -> np.ndarray:
     return _dual_hahn_table(_finite(gamma, "gamma", -1), _finite(delta, "delta", -1), N)
 
 
-def dual_hahn_normalized(n: int, x: int, gamma: float, delta: float, N: int) -> float:
-    """Orthonormal dual Hahn function sqrt(w(x)/h(n)) R_n(lambda(x))."""
-    if not 0 <= _integer(n, "n", None) <= N or not 0 <= _integer(x, "x", None) <= N:
-        raise ValueError(f"need 0 <= n, x <= N, got n={n}, x={x}, N={N}")
-    return float(dual_hahn_table(gamma, delta, N)[n, x])
-
-
 def _hyp1f1_series(n: int, a: float, x: float) -> float:
     # Terminating sum 1F1(-n; a+1; x) by term recurrence.
     total = 1.0
@@ -258,7 +252,7 @@ def paraboson_even_wavefunction(n: int, c: float, x: float) -> float:
     |x|^(c+1/2) factor overflows long before the gamma prefactor can cancel
     it, so the factors must never be exponentiated separately.
     """
-    n, c = _integer(n, "n"), _finite(c, "c", 0)
+    n, c, x = _integer(n, "n"), _finite(c, "c", 0), _finite(x, "x")
     if x == 0.0:
         return 0.0
     series = _hyp1f1_series(n, c, x * x)

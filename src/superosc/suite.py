@@ -22,7 +22,13 @@ from functools import cache
 import numpy as np
 
 from . import representation
-from .fourier import _S_krawtchouk, _S_table, fourier_analytic, fourier_eigensystem_report
+from .fourier import (
+    _S_table,
+    apply_fourier,
+    fourier_analytic,
+    fourier_eigensystem_report,
+    fourier_spectral,
+)
 from .oracle import hermitian_tridiag_eigenvalues, krawtchouk_exact, tridiag_eigen
 from .oscillator import (
     ModelParams,
@@ -45,12 +51,7 @@ from .specfun import (
     krawtchouk_shift_table,
     krawtchouk_table,
 )
-from .wavefunctions import (
-    apply_fourier,
-    node_count,
-    paraboson_limit_table,
-    position_wavefunction_closed,
-)
+from .wavefunctions import node_count, paraboson_limit_table, position_wavefunction_closed
 
 __all__ = ["run_suite", "DEFAULT_P_LIST"]
 
@@ -90,8 +91,9 @@ def _sweep_checks(report: VerificationReport, j: int, p: float, tol: float) -> N
                float(np.max(np.abs(mp @ v.conj() - v.conj() * spectrum[None, :]))), tol)
     report.add(f"{label} momentum eigenvectors unitary",
                float(np.max(np.abs(v.conj().T @ v - identity))), tol)
+    transform = fourier_analytic(params)
     report.add(f"{label} V = U F",
-               float(np.max(np.abs(v - apply_fourier(u, fourier_analytic(params))))), tol)
+               float(np.max(np.abs(v - apply_fourier(u, transform)))), tol)
     report.add(f"{label} V^T V anti-diagonal",
                float(np.max(np.abs(v.T @ v + np.eye(dim)[::-1]))), tol)
 
@@ -139,8 +141,13 @@ def _sweep_checks(report: VerificationReport, j: int, p: float, tol: float) -> N
         # The overlaps fourier_analytic reads, against the exact integer
         # route: both the (p, j) and the (p, j-1) table.
         overlap_dev = max(float(np.max(np.abs(table - _S_table(p, degree))))
-                          for table, degree in zip(_S_krawtchouk(p, j), (j, j - 1)))
+                          for table, degree in ((transform.even, j), (transform.odd, j - 1)))
         report.add(f"{label} S exact vs Krawtchouk(4p(1-p))", overlap_dev, tol)
+        # The spectral route's dense matrix against U^T J U = U^T V formed
+        # densely: route agreement cannot see a fault in the layout both
+        # routes share.
+        report.add(f"{label} spectral transform = U^T J U",
+                   float(np.max(np.abs(fourier_spectral(params).data - u.T @ v))), tol)
 
     oracle_q = tridiag_eigen(band.offdiag, np.zeros(dim))
     report.add(f"{label} oracle position eigenvalues",

@@ -18,7 +18,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fourier import FourierMatrix, _apply_blocks
 from .oscillator import _INV_SQRT2, _QUARTER_TURNS, ModelParams, _level_row, position_spectrum
 from .specfun import (
     _CACHE_SIZE,
@@ -37,7 +36,6 @@ __all__ = [
     "position_wavefunction",
     "position_wavefunction_closed",
     "momentum_wavefunction",
-    "apply_fourier",
     "node_count",
     "paraboson_limit_table",
 ]
@@ -64,9 +62,11 @@ class WaveTable:
         return self.n + 0.5
 
 
-def _check_level(params: ModelParams, n: int) -> None:
-    if not 0 <= _integer(n, "n", None) <= 2 * params.j:
+def _check_level(params: ModelParams, n: int) -> int:
+    level = _integer(n, "n", None)
+    if not 0 <= level <= 2 * params.j:
         raise IndexError(f"level must lie in 0..{2 * params.j}, got n={n}")
+    return level
 
 
 def position_wavefunction(params: ModelParams, n: int) -> WaveTable:
@@ -79,7 +79,7 @@ def position_wavefunction(params: ModelParams, n: int) -> WaveTable:
     one (p, j) eigensolve. The values are those of ``analytic_U(params)[n]``,
     bit for bit.
     """
-    _check_level(params, n)
+    n = _check_level(params, n)
     return WaveTable("position", params.j, params.p, n,
                      position_spectrum(params.j), _level_row(params, n))
 
@@ -92,7 +92,7 @@ def momentum_wavefunction(params: ModelParams, n: int) -> WaveTable:
     table build when cold. The values are those of
     ``analytic_V(params)[n]``, bit for bit.
     """
-    _check_level(params, n)
+    n = _check_level(params, n)
     return WaveTable("momentum", params.j, params.p, n, position_spectrum(params.j),
                      _QUARTER_TURNS[n % 4] * _level_row(params, n))
 
@@ -136,7 +136,7 @@ def position_wavefunction_closed(params: ModelParams, n: int) -> np.ndarray:
     from terminating 2F1 values, rounded once to a float and square rooted.
     Agrees with :func:`position_wavefunction` to the eigensolver's error.
     """
-    _check_level(params, n)
+    n = _check_level(params, n)
     values, _ = _closed_row(params.j, params.p, n)
     return values.copy()
 
@@ -148,28 +148,10 @@ def node_count(params: ModelParams, n: int) -> int:
     are exactly zero are skipped, so near-underflow tails cannot distort the
     count. Equals n across the grid.
     """
-    _check_level(params, n)
+    n = _check_level(params, n)
     _, signs = _closed_row(params.j, params.p, n)
     nonzero = [s for s in signs if s != 0]
     return sum(1 for a, b in zip(nonzero, nonzero[1:]) if a != b)
-
-
-def apply_fourier(phi_stack: np.ndarray, transform: FourierMatrix | np.ndarray) -> np.ndarray:
-    """Map stacked position wave vectors through the discrete transform.
-
-    Rows of ``phi_stack`` are position wave functions sampled on the grid;
-    returns the matching stack of momentum wave vectors (stack @ F). With
-    the full eigenvector matrix as the stack this realizes V = U F. A
-    :class:`~superosc.fourier.FourierMatrix` is applied from its two real
-    overlap tables, two real products of (j+1)^2 and j^2 per row, and its
-    dense matrix is not read; a plain array is multiplied as it is.
-    """
-    phi = np.asarray(phi_stack)
-    tables = isinstance(transform, FourierMatrix)
-    mat = transform if tables else np.asarray(transform)
-    if phi.ndim != 2 or phi.shape[1] != mat.shape[0]:
-        raise ValueError(f"shape mismatch: stack {phi.shape} vs transform {mat.shape}")
-    return _apply_blocks(phi, mat.even, mat.odd) if tables else phi @ mat
 
 
 def paraboson_limit_table(j: int, p: float, alpha: float, n: int,

@@ -1,9 +1,11 @@
+import ast
 import importlib
 import math
 import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,7 +18,7 @@ _MODULES = ("superosc", *(f"superosc.{name}" for name in (
 # Removed from the public API: the float 2F1 series and the single-value
 # helpers that no output read.
 _REMOVED = ("hyp2f1_terminating", "krawtchouk", "krawtchouk_weight", "krawtchouk_norm",
-            "dual_hahn", "laguerre", "S_sum")
+            "dual_hahn", "laguerre", "S_sum", "dual_hahn_normalized")
 
 
 @pytest.mark.parametrize("module", _MODULES)
@@ -38,7 +40,6 @@ _REFUSED = (
     ("J_matrix", (-1,), "need j >= 0, got j=-1"),
     ("krawtchouk_table", (0.3, -1), "need N >= 0, got N=-1"),
     ("dual_hahn_table", (1.0, 1.0, -1), "need N >= 0, got N=-1"),
-    ("dual_hahn_normalized", (5, 0, 1.0, 1.0, 4), "need 0 <= n, x <= N, got n=5, x=0, N=4"),
     ("paraboson_limit_table", (5, 0.5, 10.0, 0, 0), "need grid_count >= 1, got grid_count=0"),
     ("tridiag_eigen", ([math.nan], [0.0, 0.0]), "inputs must be finite"),
     ("krawtchouk_exact", (1, 1, 3, 2, 4), "need 0 < p_num < p_den, got 3/2"),
@@ -71,6 +72,17 @@ _REFUSED = (
      "str"),
     ("paraboson_even_wavefunction", (1, "3", 2.0), "need a finite c > 0, got c='3'", "str"),
     ("run_suite", (2, (0.5,), "1e-10"), "need a finite tol > 0, got tol='1e-10'", "str"),
+    # Sizes, tolerances and points that still went unchecked.
+    ("expected_multiplicities", (-1,), "need j >= 0, got j=-1"),
+    ("expected_multiplicities", (2.5,), "need an integer j, got j=2.5", "float"),
+    ("expected_multiplicities", (True,), "need an integer j, got j=True", "bool"),
+    ("verify_superalgebra", (1, math.nan), "need a finite tol > 0, got tol=nan"),
+    ("verify_star", (1, "1e-10"), "need a finite tol > 0, got tol='1e-10'"),
+    ("fourier_eigensystem_report", (superosc.ModelParams(1, 0.3), math.nan),
+     "need a finite tol > 0, got tol=nan"),
+    ("paraboson_even_wavefunction", (1, 3.0, math.nan), "need a finite x, got x=nan", "nan-x"),
+    ("paraboson_even_wavefunction", (1, 3.0, math.inf), "need a finite x, got x=inf", "inf-x"),
+    ("paraboson_even_wavefunction", (1, 3.0, "2"), "need a finite x, got x='2'", "str-x"),
 )
 
 
@@ -79,6 +91,19 @@ _REFUSED = (
 def test_input_checks_raise_their_message(name, args, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         getattr(superosc, name)(*args)
+
+
+def test_apply_fourier_moved_beside_the_layout_it_reads():
+    # F's layout lives in one module: wavefunctions imports nothing from
+    # fourier, and the package's apply_fourier is fourier's.
+    tree = ast.parse(Path(superosc.wavefunctions.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            assert node.module != "fourier" and not any(
+                alias.name == "fourier" for alias in node.names), ast.unparse(node)
+    assert superosc.apply_fourier is superosc.fourier.apply_fourier
+    assert "apply_fourier" not in superosc.wavefunctions.__all__
+    assert not hasattr(superosc.wavefunctions, "apply_fourier")
 
 
 def test_removed_names_are_gone():

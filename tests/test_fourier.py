@@ -130,6 +130,26 @@ def test_array_conversion_honours_dtype():
     assert np.array_equal(converted, f.data.astype(np.complex64))
 
 
+def test_transform_is_read_only_and_np_array_copies():
+    f = fourier_analytic(ModelParams(j=3, p=0.3))
+    before = f.data.copy()
+    copied = np.array(f)
+    copied[0, 0] = 99.0
+    assert np.array_equal(f.data, before)
+    assert np.array(f, copy=False) is f.data
+    for table in (f.data, f.even, f.odd):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 0.0
+    with pytest.raises(ValueError, match="needs a copy"):
+        np.array(f, dtype=np.complex64, copy=False)
+    # The caller's tables stay its own to write; the transform holds views.
+    even, odd = np.eye(3)[::-1].copy(), np.eye(2)[::-1].copy()
+    held = fourier.FourierMatrix(even, odd)
+    assert even.flags.writeable and not held.even.flags.writeable
+    assert np.shares_memory(held.even, even)
+
+
 def test_transform_is_symmetric():
     f = np.asarray(fourier_analytic(ModelParams(j=5, p=0.3)))
     assert np.abs(f - f.T).max() <= 1e-12

@@ -55,8 +55,8 @@ def test_p_to_one_convergence_check_catches_a_wrong_limit(monkeypatch, wrong, fa
 
 # run_suite(2, (0.5,)): a check added, dropped, renamed, moved or given a
 # new tolerance changes these; update them together with the suite.
-PINNED_CHECK_COUNT = 114
-PINNED_CHECK_SHA256 = "b53d52f3be6964f0d97af864535e9b9e521a17f86fbc3412a0ae6d4cdbf246da"
+PINNED_CHECK_COUNT = 116
+PINNED_CHECK_SHA256 = "5853f2154439a097ef2ac92edd914474953f3dd2d911eec86b318082e70ea1a5"
 
 
 def test_verify_check_list_is_pinned():
@@ -67,6 +67,22 @@ def test_verify_check_list_is_pinned():
     assert report.passed
     assert len(report.checks) == PINNED_CHECK_COUNT
     assert hashlib.sha256(listing.encode()).hexdigest() == PINNED_CHECK_SHA256
+
+
+def test_spectral_transform_line_catches_swapped_interior_blocks(monkeypatch):
+    # Reversing F's columns swaps the parity-preserving block -(i/2) s + s'/2
+    # with the parity-crossing one -(i/2) s - s'/2 and keeps the center row
+    # and column: the a + b / a - b swap in the dense layout. Both routes
+    # share the layout, so their agreement cannot see it.
+    blocks = fourier._fourier_blocks
+    monkeypatch.setattr(fourier, "_fourier_blocks", lambda even, odd: blocks(even, odd)[:, ::-1])
+    report = VerificationReport()
+    for p in (0.1, 0.3, 0.5):
+        for j in range(1, 11):
+            suite._sweep_checks(report, j, p, 1e-10)
+    failed = [c.name.split(" ", 2)[2] for c in report.checks if not c.passed]
+    assert failed.count("spectral transform = U^T J U") == 30
+    assert set(failed) == {"spectral transform = U^T J U", "eigenvector rows (F U^T = U^T J)"}
 
 
 def _check(report, name):

@@ -200,15 +200,12 @@ def test_apply_fourier_reads_the_transform_without_a_copy():
     assert np.array_equal(apply_fourier(stack, transform), transform.data)
 
 
-def test_apply_fourier_identity_passthrough():
-    params = ModelParams(j=3, p=0.4)
-    u = analytic_U(params)
-    assert np.array_equal(apply_fourier(u, np.eye(7)), u)
-
-
 def test_apply_fourier_shape_check():
-    with pytest.raises(ValueError):
-        apply_fourier(np.ones((2, 4)), np.eye(3))
+    # A plain array is refused whatever its shape, the dense F included.
+    for stack, transform in ((np.ones((2, 4)), np.eye(3)),
+                             (np.eye(7), fourier_analytic(ModelParams(3, 0.4)).data)):
+        with pytest.raises(ValueError, match="need a FourierMatrix transform, got ndarray"):
+            apply_fourier(stack, transform)
 
 
 @pytest.mark.parametrize("route", [fourier_analytic, fourier_spectral])
@@ -293,3 +290,22 @@ def test_limit_table_converges_in_j():
         rows = paraboson_limit_table(j, 0.5, 10.0, 1, 15)
         worst.append(np.abs(rows[:, 1] - rows[:, 2]).max())
     assert worst[1] < worst[0]
+
+
+# Integer and real inputs of numpy types are computed with as the Python
+# int and float the input rule returns: the same bytes as those forms.
+@pytest.mark.parametrize("params, n, plain", [
+    (ModelParams(np.int64(3), 0.3), 2, ModelParams(3, 0.3)),
+    (ModelParams(20, 0.3), np.int64(25), ModelParams(20, 0.3)),
+    (ModelParams(3, np.float32(0.3)), 2, ModelParams(3, float(np.float32(0.3)))),
+])
+def test_numpy_scalars_give_the_bytes_of_their_plain_forms(params, n, plain):
+    assert params == plain and type(params.j) is int and type(params.p) is float
+    rows = []
+    for model, level in ((params, n), (plain, int(n))):
+        wavefunctions._closed_row.cache_clear()
+        rows.append((position_wavefunction_closed(model, level).tobytes(),
+                     node_count(model, level),
+                     position_wavefunction(model, level).amplitudes.tobytes()))
+    assert rows[0] == rows[1]
+    assert rows[0][1] == int(n)
