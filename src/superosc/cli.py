@@ -38,10 +38,12 @@ _PEAK_BYTES_MAX = 2 * 2**30
 def _estimated_peak(args: argparse.Namespace) -> int:
     # Bytes per entry times the entries a command builds or prints, plus
     # 1 MiB that any command may hold at small j. Each figure is a
-    # tracemalloc peak at j = 300, printed text included, rounded up. Verify
-    # adds to the peak of its largest sweep point 6 MiB for its fixed checks
-    # and the two Krawtchouk table caches, up to 2 x 64 tables of (j+1)^2
-    # floats kept from the sweep points before it.
+    # tracemalloc peak at j = 300, printed text included, rounded up;
+    # fourier's is 10% over its largest peak, both routes and formats at
+    # j = 150, 300 and 600 (113.4 B, JSON at j = 150). Verify adds to the
+    # peak of its largest sweep point 6 MiB for its fixed checks and the two
+    # Krawtchouk table caches, up to 2 x 64 tables of (j+1)^2 floats kept
+    # from the sweep points before it.
     j = max(args.j_max if args.command == "verify" else args.j, 0)
     dim, table = 2 * j + 1, (j + 1) ** 2  # grid size, polynomial-table entries
     if args.command == "spectrum":
@@ -51,7 +53,7 @@ def _estimated_peak(args: argparse.Namespace) -> int:
     elif args.command == "limits":
         nbytes = 32 * table
     elif args.command == "fourier":
-        nbytes = 160 * dim**2
+        nbytes = 128 * dim**2
     else:
         nbytes = 6 * 2**20 + 200 * dim**2 + 1024 * table
     return 2**20 + nbytes
@@ -79,12 +81,28 @@ def _fmt_seq(values, sep: str = ",", item: str = "%.17g") -> str:
     return ((item + sep) * count)[:-len(sep)] % values
 
 
-def _floats(array: np.ndarray) -> list:
-    # Real values as (nested lists of) floats; complex ones as interleaved
-    # (re, im) floats along the last axis.
+def _float_view(array: np.ndarray) -> np.ndarray:
+    # Real values as float64; complex ones as interleaved (re, im) float64
+    # along the last axis.
     if np.iscomplexobj(array):
-        array = np.ascontiguousarray(array, dtype=np.complex128).view(np.float64)
-    return array.tolist()
+        return np.ascontiguousarray(array, dtype=np.complex128).view(np.float64)
+    return np.asarray(array, dtype=np.float64)
+
+
+def _floats(array: np.ndarray) -> list:
+    return _float_view(array).tolist()
+
+
+def _fmt_array(array: np.ndarray) -> np.ndarray:
+    # The _fmt text of each float of _float_view(array), as an object array
+    # of that shape. Each distinct bit pattern is formatted once (F's mirror
+    # blocks and symmetry repeat about four in five of its floats); equal
+    # bits give equal text, and 0.0, -0.0 and NaN payloads stay apart.
+    floats = _float_view(array)
+    bits, inverse = np.unique(floats.view(np.uint64).ravel(), return_inverse=True)
+    texts = np.array(_fmt_seq(bits.view(np.float64).tolist(), sep="\n").split("\n"),
+                     dtype=object)
+    return texts[inverse.ravel()].reshape(floats.shape)
 
 
 def _json(value) -> str:
@@ -101,6 +119,10 @@ def _json(value) -> str:
     if isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype.kind in "fc":
         item = "[%.17g,%.17g]" if value.dtype.kind == "c" else "%.17g"
         return "[" + _fmt_seq(_floats(value), item=item) + "]"
+    if isinstance(value, np.ndarray) and value.ndim == 2 and value.dtype.kind in "fc":
+        item = "[%s,%s]" if value.dtype.kind == "c" else "%s"
+        return "[" + ",".join("[" + _fmt_seq(row, item=item) + "]"
+                              for row in _fmt_array(value)) + "]"
     if isinstance(value, (list, tuple, np.ndarray)):
         return "[" + ",".join(_json(v) for v in value) + "]"
     raise TypeError(f"cannot serialize {type(value)!r}")
@@ -226,7 +248,7 @@ def cmd_fourier(args: argparse.Namespace) -> tuple[int, str]:
         return 0, _json({"j": args.j, "p": args.p, "method": args.method, "matrix": matrix})
     return 0, _csv(f"j={args.j} p={_fmt(args.p)} method={args.method}",
                    ",".join(f"c{c}_re,c{c}_im" for c in range(matrix.shape[0])),
-                   [_fmt_seq(row) for row in _floats(matrix)])
+                   [",".join(row.tolist()) for row in _fmt_array(matrix)])
 
 
 def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:

@@ -92,10 +92,23 @@ class FourierMatrix:
         return mat
 
     def entry(self, k: int, l: int) -> complex:
-        """Entry F_{k,l} for centered labels k, l in -j..j."""
+        """Entry F_{k,l} for centered labels k, l in -j..j, read from the tables.
+
+        Equal to ``data[j + k, j + l]`` bit for bit; ``data`` is not laid out.
+        """
         if not (-self.j <= k <= self.j and -self.j <= l <= self.j):
             raise ValueError(f"labels must lie in -{self.j}..{self.j}, got ({k}, {l})")
-        return complex(self.data[self.j + k, self.j + l])
+        # One-element slices of the tables, so the values go through the
+        # same array arithmetic as the dense layout. With one label 0, the
+        # edge reads s(m + n, 0), the other label's |k|; with either label
+        # 0 the odd slice is empty and its block values are not read.
+        m, n = abs(k), abs(l)
+        center, edge, same, cross = _block_values(
+            self.even[0, 0], self.even[m + n:m + n + 1, 0],
+            self.even[m:m + 1, n:n + 1], self.odd[m - 1:m, n - 1:n])
+        if m and n:
+            return complex((same if (k > 0) == (l > 0) else cross)[0, 0])
+        return complex(edge[0] if m or n else center)
 
     def __array__(self, dtype=None, copy=None):
         # numpy 2's protocol: copy=True always copies; copy=False never does,
@@ -216,21 +229,30 @@ def _sigma(table: np.ndarray, p: float) -> np.ndarray:
     return table * np.multiply.outer(alt[::-1], alt)
 
 
+def _block_values(center: float, edge: np.ndarray, inner: np.ndarray,
+                  inner_odd: np.ndarray) -> tuple:
+    # F's entries from overlap values: the center -i s(0,0), the edges
+    # -(i/sqrt 2) s(k,0), and the interior -(i/2) s(k,l) +- (1/2) s'(k-1,l-1),
+    # + where k and l have one sign (the parity-preserving blocks) and -
+    # where they differ.
+    a = -0.5j * inner
+    b = 0.5 * inner_odd
+    return -1j * center, -1j * _INV_SQRT2 * edge, a + b, a - b
+
+
 def _fourier_blocks(s_j: np.ndarray, s_odd: np.ndarray) -> np.ndarray:
     # F from the overlap tables s = S(., .; p, j) and s' = S(., .; p, j-1).
     j = len(s_j) - 1
     mat = np.zeros((2 * j + 1, 2 * j + 1), dtype=complex)
-    mat[j, j] = -1j * s_j[0, 0]
+    center, edge, same, cross = _block_values(s_j[0, 0], s_j[1:, 0], s_j[1:, 1:], s_odd)
+    mat[j, j] = center
     if j >= 1:
         # Row k-1 of each block is label k = 1..j; the slices j-1::-1 run
         # over the mirrored labels j-k.
         up, down = slice(j + 1, None), slice(j - 1, None, -1)
-        edge = -1j * _INV_SQRT2 * s_j[1:, 0]
         mat[up, j] = mat[down, j] = mat[j, up] = mat[j, down] = edge
-        a = -0.5j * s_j[1:, 1:]
-        b = 0.5 * s_odd
-        mat[down, down] = mat[up, up] = a + b
-        mat[down, up] = mat[up, down] = a - b
+        mat[down, down] = mat[up, up] = same
+        mat[down, up] = mat[up, down] = cross
     return mat
 
 
@@ -328,12 +350,20 @@ def fourier_eigensystem_report(
     (-i, 1, i, -1) read off the diagonal of J match the parity rule.
     """
     tol = _finite(tol, "tol", 0)
+    return _eigensystem_report(params, tol, fourier_analytic(params),
+                               fourier_spectral(params))
+
+
+def _eigensystem_report(
+    params: ModelParams, tol: float, analytic: FourierMatrix, spectral: FourierMatrix
+) -> tuple[VerificationReport, EigenvalueMultiplicity]:
+    # fourier_eigensystem_report on transforms the caller already built,
+    # at a tolerance it already checked.
     j = params.j
     dim = params.dim
     u = analytic_U(params)
     jdiag = _quarter_turns(dim)
-    analytic = fourier_analytic(params).data
-    spectral = fourier_spectral(params).data
+    analytic, spectral = analytic.data, spectral.data
     identity = np.eye(dim)
 
     report = VerificationReport()

@@ -23,10 +23,10 @@ import numpy as np
 
 from . import representation
 from .fourier import (
+    _eigensystem_report,
     _S_table,
     apply_fourier,
     fourier_analytic,
-    fourier_eigensystem_report,
     fourier_spectral,
 )
 from .oracle import hermitian_tridiag_eigenvalues, krawtchouk_exact, tridiag_eigen
@@ -91,7 +91,7 @@ def _sweep_checks(report: VerificationReport, j: int, p: float, tol: float) -> N
                float(np.max(np.abs(mp @ v.conj() - v.conj() * spectrum[None, :]))), tol)
     report.add(f"{label} momentum eigenvectors unitary",
                float(np.max(np.abs(v.conj().T @ v - identity))), tol)
-    transform = fourier_analytic(params)
+    transform, spectral = fourier_analytic(params), fourier_spectral(params)
     report.add(f"{label} V = U F",
                float(np.max(np.abs(v - apply_fourier(u, transform)))), tol)
     report.add(f"{label} V^T V anti-diagonal",
@@ -109,7 +109,7 @@ def _sweep_checks(report: VerificationReport, j: int, p: float, tol: float) -> N
                float(np.max(np.abs(variant.dense() @ u_variant
                                    - u_variant * spectrum[None, :]))), tol)
 
-    fourier_report, _ = fourier_eigensystem_report(params, tol=tol)
+    fourier_report, _ = _eigensystem_report(params, tol, transform, spectral)
     report.extend(fourier_report)
 
     table = krawtchouk_table(p, j)
@@ -147,7 +147,7 @@ def _sweep_checks(report: VerificationReport, j: int, p: float, tol: float) -> N
         # densely: route agreement cannot see a fault in the layout both
         # routes share.
         report.add(f"{label} spectral transform = U^T J U",
-                   float(np.max(np.abs(fourier_spectral(params).data - u.T @ v))), tol)
+                   float(np.max(np.abs(spectral.data - u.T @ v))), tol)
 
     oracle_q = tridiag_eigen(band.offdiag, np.zeros(dim))
     report.add(f"{label} oracle position eigenvalues",

@@ -23,7 +23,7 @@ from superosc import (
     position_spectrum,
 )
 from superosc import cli, fourier, specfun, wavefunctions
-from superosc.cli import _floats, _fmt, _fmt_seq, _json, main
+from superosc.cli import _floats, _fmt, _fmt_array, _fmt_seq, _json, main
 
 
 # The directory that holds the package, for a child process's PYTHONPATH.
@@ -299,7 +299,7 @@ def test_domain_errors_exit_3(capsys):
 
 # Each command at the first j whose estimated peak is over the limit.
 _FIRST_REFUSED = [
-    ("fourier", "--j", "1831", "--p", "0.3"),
+    ("fourier", "--j", "2047", "--p", "0.3"),
     ("verify", "--j-max", "1083"),
     ("limits", "--j", "8189", "--p", "0.3", "--alpha", "10"),
     ("wavefunction", "--j", "8185", "--p", "0.3"),
@@ -428,6 +428,28 @@ def test_bulk_formatter_equals_per_value_fmt():
     # A strided view reads the same values as its contiguous copy.
     assert _json(np.vstack([pairs, pairs]).T[0]) == _json(pairs[:1].repeat(2))
 
+    # Formatting each distinct bit pattern once: 0.0 and -0.0 stay apart,
+    # and NaNs with the sign bit or a payload set equal _fmt's text.
+    nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001,
+                     0xFFF0000000000001, 0x7FF0000000000001], dtype=np.uint64).view(np.float64)
+    edge = np.concatenate([values, nans, values[::-1], [0.0, -0.0, -0.0, 0.0]])
+    assert _fmt_array(edge).tolist() == [_fmt(v) for v in edge]
+    assert _fmt_array(np.array([-0.0, 0.0, -0.0])).tolist() == ["-0", "0", "-0"]
+    assert _fmt_array(edge.reshape(3, -1)).tolist() == [
+        [_fmt(v) for v in row] for row in edge.reshape(3, -1)]
+    # A 2-D complex matrix with repeated values, as interleaved (re, im)
+    # texts, and the 2-D JSON that reads them.
+    square = pairs.reshape(12, 12)
+    matrix = np.vstack([square, square[::-1].T, square[:, ::-1]])
+    assert _fmt_array(matrix).tolist() == [
+        [text for v in row for text in (_fmt(v.real), _fmt(v.imag))] for row in matrix]
+    assert _json(matrix) == "[" + ",".join(
+        "[" + ",".join(f"[{_fmt(v.real)},{_fmt(v.imag)}]" for v in row) + "]"
+        for row in matrix) + "]"
+    assert _json(matrix.real) == "[" + ",".join(
+        "[" + ",".join(_fmt(v.real) for v in row) + "]" for row in matrix) + "]"
+    assert _json(np.empty((0, 3))) == "[]" and _json(np.empty((2, 0))) == "[[],[]]"
+
 
 def _json_per_value(value):
     # The per-value rendering the CLI's JSON must equal.
@@ -444,22 +466,24 @@ def _json_per_value(value):
     return "[" + ",".join(_json_per_value(v) for v in value) + "]"
 
 
-@pytest.mark.parametrize("j", [5, 40])
+@pytest.mark.parametrize("j, p", [
+    pytest.param(j, p, id=str(j) if p == 0.37 else f"{j}-{p}")
+    for p in (0.37, 0.5, 0.7) for j in (0, 1, 5, 40, 72)])
 @pytest.mark.parametrize("method", ["analytic", "spectral"])
-def test_fourier_text_equals_per_value_rendering(capsys, j, method):
-    params = ModelParams(j, 0.37)
+def test_fourier_text_equals_per_value_rendering(capsys, j, p, method):
+    params = ModelParams(j, p)
     matrix = (fourier_analytic(params) if method == "analytic"
               else fourier_spectral(params)).data
-    _, csv_out, _ = run(capsys, "fourier", "--j", str(j), "--p", "0.37", "--method", method)
-    lines = [f"# j={j} p={_fmt(0.37)} method={method}",
+    _, csv_out, _ = run(capsys, "fourier", "--j", str(j), "--p", str(p), "--method", method)
+    lines = [f"# j={j} p={_fmt(p)} method={method}",
              ",".join(f"c{c}_re,c{c}_im" for c in range(2 * j + 1))]
     for row in matrix:
         lines.append(",".join(f"{_fmt(v.real)},{_fmt(v.imag)}" for v in row))
     assert csv_out == "\n".join(lines) + "\n"
 
-    _, json_out, _ = run(capsys, "fourier", "--j", str(j), "--p", "0.37", "--method", method,
+    _, json_out, _ = run(capsys, "fourier", "--j", str(j), "--p", str(p), "--method", method,
                          "--format", "json")
-    payload = {"j": j, "p": 0.37, "method": method,
+    payload = {"j": j, "p": p, "method": method,
                "matrix": [[complex(v) for v in row] for row in matrix]}
     assert json_out == _json_per_value(payload) + "\n"
 

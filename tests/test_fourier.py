@@ -366,3 +366,29 @@ def test_entry_accessor_bounds():
     f = fourier_analytic(ModelParams(j=2, p=0.5))
     with pytest.raises(ValueError):
         f.entry(3, 0)
+
+
+@pytest.mark.parametrize("route", [fourier_analytic, fourier_spectral])
+@pytest.mark.parametrize("p", [0.1, 0.5, 0.7])
+def test_entry_equals_the_dense_layout_bit_for_bit(route, p):
+    for j in range(21):
+        f = route(ModelParams(j, p))
+        labels = range(-j, j + 1)
+        entries = np.array([[f.entry(k, l) for l in labels] for k in labels])
+        assert entries.tobytes() == f.data.tobytes(), j
+
+
+def test_entry_reads_the_tables_without_the_dense_layout(monkeypatch):
+    f = fourier_spectral(ModelParams(300, 0.3))
+    dense = f.data
+    monkeypatch.setattr(fourier, "_fourier_blocks", None)
+    g = fourier.FourierMatrix(f.even, f.odd)
+    labels = [(0, 0), (0, -7), (5, 0), (3, -2), (-300, -300)]
+    tracemalloc.start()
+    try:
+        values = [g.entry(k, l) for k, l in labels]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert values == [dense[300 + k, 300 + l] for k, l in labels]
+    assert peak < 2**16

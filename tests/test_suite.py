@@ -204,6 +204,21 @@ def test_closed_row_is_built_once_per_level():
     assert closed_row(6, 0.3, 0)[0][0] != 99.0
 
 
+def test_sweep_point_builds_each_transform_once(monkeypatch):
+    # The eigensystem lines read the transforms the sweep point built.
+    calls = []
+    for name in ("fourier_analytic", "fourier_spectral"):
+        def counted(params, route=getattr(fourier, name), name=name):
+            calls.append(name)
+            return route(params)
+        monkeypatch.setattr(fourier, name, counted)
+        monkeypatch.setattr(suite, name, counted)
+    report = VerificationReport()
+    suite._sweep_checks(report, 5, 0.3, 1e-10)
+    assert sorted(calls) == ["fourier_analytic", "fourier_spectral"]
+    assert report.passed and any("route agreement" in c.name for c in report.checks)
+
+
 _OVERLAP_CHECK = "S exact vs Krawtchouk(4p(1-p))"
 
 
