@@ -15,6 +15,14 @@ functions at w = 4p(1-p), with no phase table. The closed 2F1 form of each
 overlap is also evaluated in exact integers (:func:`S_closed`), the
 eigensolver-free reference for both. F is symmetric, unitary, satisfies
 F^4 = I, and its eigenvalue multiplicities follow a parity rule in j.
+
+With Q the orthogonal mirror fold (the center, and the sums and differences
+of the +-k halves over sqrt 2), F = Q^T (-iS (+) S') Q. So each of those
+properties is one of the tables: F is symmetric, unitary or of fourth power
+I exactly when S and S' are, F U^T = U^T J exactly when S T = T diag(s_e)
+and S' T' = T' diag(s_o), and the multiplicities of (-i, 1, i, -1) are
+((j+1+tr S)/2, (j+tr S')/2, (j+1-tr S)/2, (j-tr S')/2).
+:func:`fourier_eigensystem_report` checks them there, on (j+1)^2 arrays.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .oscillator import _INV_SQRT2, ModelParams, _quarter_turns, analytic_U
+from .oscillator import _INV_SQRT2, ModelParams, _quarter_turns
 from .report import _DEFAULT_TOL, VerificationReport
 from .specfun import (
     _CACHE_SIZE,
@@ -144,6 +152,12 @@ def _signed_gram(table: np.ndarray, signs: np.ndarray) -> np.ndarray:
     return gram
 
 
+def _table_signs(phases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # The signs s_e = Re(i J[2n, 2n]) and s_o = Re(J[2n+1, 2n+1]) of the
+    # even and odd tables, from J's diagonal.
+    return (1j * phases[0::2]).real, phases[1::2].real
+
+
 def fourier_spectral(params: ModelParams) -> FourierMatrix:
     """Transform via the spectral route U^T J U, in table space.
 
@@ -155,10 +169,9 @@ def fourier_spectral(params: ModelParams) -> FourierMatrix:
     (j+1)^3 products; no U is assembled.
     """
     p, j = params.p, params.j
-    phases = _quarter_turns(params.dim)
-    even = _signed_gram(krawtchouk_table(p, j), (1j * phases[0::2]).real)
-    odd = (_signed_gram(krawtchouk_shift_table(p, j), phases[1::2].real) if j
-           else np.empty((0, 0)))
+    s_even, s_odd = _table_signs(_quarter_turns(params.dim))
+    even = _signed_gram(krawtchouk_table(p, j), s_even)
+    odd = _signed_gram(krawtchouk_shift_table(p, j), s_odd) if j else np.empty((0, 0))
     return FourierMatrix(even, odd)
 
 
@@ -347,11 +360,20 @@ def fourier_eigensystem_report(
     Checks, for both construction routes: symmetry, unitarity and F^4 = I;
     route agreement; that the rows of the position eigenvector matrix are
     eigenvectors (F U^T = U^T J); and that the multiplicities of
-    (-i, 1, i, -1) read off the diagonal of J match the parity rule.
+    (-i, 1, i, -1) match the parity rule, both as read off the diagonal of
+    J and as read off the traces of the analytic tables. Every line is
+    checked on the two real overlap tables (see the module docstring), so
+    no dense matrix and no U is formed; the returned counts are J's.
     """
     tol = _finite(tol, "tol", 0)
     return _eigensystem_report(params, tol, fourier_analytic(params),
                                fourier_spectral(params))
+
+
+def _largest(*arrays: np.ndarray) -> float:
+    # The largest |entry| over the arrays, NaN if any entry is NaN; an empty
+    # array (an odd table at j = 0) adds nothing.
+    return float(np.max([np.max(np.abs(a)) for a in arrays if a.size], initial=0.0))
 
 
 def _eigensystem_report(
@@ -359,29 +381,36 @@ def _eigensystem_report(
 ) -> tuple[VerificationReport, EigenvalueMultiplicity]:
     # fourier_eigensystem_report on transforms the caller already built,
     # at a tolerance it already checked.
-    j = params.j
-    dim = params.dim
-    u = analytic_U(params)
-    jdiag = _quarter_turns(dim)
-    analytic, spectral = analytic.data, spectral.data
-    identity = np.eye(dim)
+    p, j = params.p, params.j
+    phases = _quarter_turns(params.dim)
+    s_even, s_odd = _table_signs(phases)
 
     report = VerificationReport()
-    label = f"j={j} p={params.p}"
-    report.add(f"{label} route agreement", float(np.max(np.abs(analytic - spectral))), tol)
-    for route_name, mat in (("analytic", analytic), ("spectral", spectral)):
+    label = f"j={j} p={p}"
+    report.add(f"{label} route agreement",
+               _largest(analytic.even - spectral.even, analytic.odd - spectral.odd), tol)
+    for route_name, f in (("analytic", analytic), ("spectral", spectral)):
+        tables = f.even, f.odd
         report.add(f"{label} {route_name} symmetric",
-                   float(np.max(np.abs(mat - mat.T))), tol)
+                   _largest(*(s - s.T for s in tables)), tol)
         report.add(f"{label} {route_name} unitary",
-                   float(np.max(np.abs(mat.conj().T @ mat - identity))), tol)
-        squared = mat @ mat
+                   _largest(*(s @ s.T - np.eye(len(s)) for s in tables)), tol)
         report.add(f"{label} {route_name} fourth power = I",
-                   float(np.max(np.abs(squared @ squared - identity))), tol)
+                   _largest(*(np.linalg.matrix_power(s, 4) - np.eye(len(s)) for s in tables)), tol)
+    # U^T's columns fold to (-1)^n times the columns of T and T', so
+    # F U^T = U^T J reads S T = T diag(s_e) and S' T' = T' diag(s_o).
+    table = krawtchouk_table(p, j)
+    shifted = krawtchouk_shift_table(p, j) if j else np.empty((0, 0))
     report.add(f"{label} eigenvector rows (F U^T = U^T J)",
-               float(np.max(np.abs(analytic @ u.T - u.T * jdiag[None, :]))), tol)
+               _largest(analytic.even @ table - table * s_even,
+                        analytic.odd @ shifted - shifted * s_odd), tol)
 
-    counts = EigenvalueMultiplicity(*(int(np.sum(jdiag == value))
+    counts = EigenvalueMultiplicity(*(int(np.sum(phases == value))
                                       for value in (-1j, 1.0, 1j, -1.0)))
-    report.add(f"{label} multiplicity parity rule",
-               0.0 if counts == expected_multiplicities(j) else 1.0, 0.0)
+    # -i and i count S's eigenvalues +1 and -1, 1 and -1 those of S'.
+    trace, trace_odd = np.trace(analytic.even), np.trace(analytic.odd)
+    from_traces = np.rint(np.array([j + 1 + trace, j + trace_odd,
+                                    j + 1 - trace, j - trace_odd]) / 2)
+    agree = counts == expected_multiplicities(j) and from_traces.tolist() == list(counts)
+    report.add(f"{label} multiplicity parity rule", 0.0 if agree else 1.0, 0.0)
     return report, counts

@@ -362,6 +362,71 @@ def test_multiplicity_check_catches_one_wrong_phase(monkeypatch, where, wrong):
     assert [c.passed for c in report.checks if c.name == name] == [False]
 
 
+def test_multiplicity_check_reads_the_analytic_tables(monkeypatch):
+    # Negating both overlap tables swaps the counts of -i and i (and of 1
+    # and -1) that their traces give; J's diagonal does not move.
+    name = "j=8 p=0.3 multiplicity parity rule"
+    sigma = fourier._sigma
+    monkeypatch.setattr(fourier, "_sigma", lambda t, p: -sigma(t, p))
+    report, counts = fourier_eigensystem_report(ModelParams(j=8, p=0.3))
+    assert [c.passed for c in report.checks if c.name == name] == [False]
+    assert counts == expected_multiplicities(8)
+
+
+@pytest.mark.parametrize("j", [0, 1, 2, 3, 4, 5, 10, 11, 300])
+@pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
+def test_table_traces_give_the_multiplicities(j, p):
+    params = ModelParams(j, p)
+    f = fourier_analytic(params)
+    even, odd = np.trace(f.even), np.trace(f.odd)
+    counts = np.array([j + 1 + even, j + odd, j + 1 - even, j - odd]) / 2
+    assert np.abs(counts - expected_multiplicities(j)).max() < 1e-9
+    report, _ = fourier._eigensystem_report(params, 1e-10, f, fourier_spectral(params))
+    assert report.checks[-1].name.endswith("multiplicity parity rule")
+    assert report.checks[-1].passed
+
+
+_REPORT_LINES = [
+    "route agreement",
+    *(f"{route} {prop}" for route in ("analytic", "spectral")
+      for prop in ("symmetric", "unitary", "fourth power = I")),
+    "eigenvector rows (F U^T = U^T J)",
+    "multiplicity parity rule",
+]
+
+
+@pytest.mark.parametrize("j", [0, 1])
+@pytest.mark.parametrize("p", [0.3, 0.5])
+def test_eigensystem_report_at_the_smallest_sizes(j, p):
+    # At j = 0 the odd tables are 0 x 0 and add nothing to a residual.
+    report, counts = fourier_eigensystem_report(ModelParams(j, p))
+    assert report.passed, report.failures()
+    assert [c.name for c in report.checks] == [f"j={j} p={p} {line}" for line in _REPORT_LINES]
+    assert counts == expected_multiplicities(j)
+
+
+def test_eigensystem_report_stays_in_table_space(monkeypatch):
+    # Warm tables; the report's arrays are (j+1)^2 or j^2, about 2 B per
+    # (2j+1)^2 entry each, where the dense report peaked at about 96.
+    params = ModelParams(300, 0.3)
+    fourier_analytic(params), fourier_spectral(params)
+    analytic, spectral = fourier_analytic(params), fourier_spectral(params)
+
+    def no_layout(even, odd):
+        raise AssertionError("the dense layout was read")
+
+    monkeypatch.setattr(fourier, "_fourier_blocks", no_layout)
+    tracemalloc.start()
+    try:
+        report, _ = fourier._eigensystem_report(params, 1e-10, analytic, spectral)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed, report.failures()
+    assert "data" not in vars(analytic) and "data" not in vars(spectral)
+    assert peak <= 16 * params.dim ** 2
+
+
 def test_entry_accessor_bounds():
     f = fourier_analytic(ModelParams(j=2, p=0.5))
     with pytest.raises(ValueError):

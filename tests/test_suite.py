@@ -73,7 +73,8 @@ def test_spectral_transform_line_catches_swapped_interior_blocks(monkeypatch):
     # Reversing F's columns swaps the parity-preserving block -(i/2) s + s'/2
     # with the parity-crossing one -(i/2) s - s'/2 and keeps the center row
     # and column: the a + b / a - b swap in the dense layout. Both routes
-    # share the layout, so their agreement cannot see it.
+    # share the layout, so their agreement cannot see it, and the
+    # eigensystem report reads only the tables.
     blocks = fourier._fourier_blocks
     monkeypatch.setattr(fourier, "_fourier_blocks", lambda even, odd: blocks(even, odd)[:, ::-1])
     report = VerificationReport()
@@ -82,7 +83,7 @@ def test_spectral_transform_line_catches_swapped_interior_blocks(monkeypatch):
             suite._sweep_checks(report, j, p, 1e-10)
     failed = [c.name.split(" ", 2)[2] for c in report.checks if not c.passed]
     assert failed.count("spectral transform = U^T J U") == 30
-    assert set(failed) == {"spectral transform = U^T J U", "eigenvector rows (F U^T = U^T J)"}
+    assert set(failed) == {"spectral transform = U^T J U"}
 
 
 def _check(report, name):
@@ -269,6 +270,32 @@ def test_overlap_check_catches_a_wrong_route(monkeypatch, mutant, failing_p):
     for name, passed in checks.items():
         p = float(name.split()[1][2:])
         assert passed == (p not in failing_p), name
+
+
+@pytest.mark.parametrize("mutant,failing_p", [
+    ("flipped sigma", (0.3, 0.7)),
+    ("swapped (w, q)", (0.3, 0.7)),
+    ("sigma for every p", (0.3,)),
+    ("sigma for no p", (0.7,)),
+])
+def test_eigensystem_lines_catch_a_wrong_route(monkeypatch, mutant, failing_p):
+    # The same faults of the analytic route, on the table-space lines that
+    # read it: its agreement with the spectral route and its eigenvectors.
+    sigma = fourier._sigma
+    faults = {
+        "flipped sigma": {"_sigma": lambda t, p: -sigma(t, p)},
+        "swapped (w, q)": {name: _swapped(getattr(fourier, name))
+                           for name in ("_krawtchouk_table", "_krawtchouk_shift_table")},
+        "sigma for every p": {"_sigma": lambda t, p: sigma(t, 1.0)},
+        "sigma for no p": {"_sigma": lambda t, p: t},
+    }
+    for name, value in faults[mutant].items():
+        monkeypatch.setattr(fourier, name, value)
+    for p in (0.3, 0.7):
+        for j in (1, 2, 5):
+            report, _ = fourier.fourier_eigensystem_report(suite.ModelParams(j, p))
+            for line in ("route agreement", "eigenvector rows (F U^T = U^T J)"):
+                assert _check(report, f"j={j} p={p} {line}").passed == (p not in failing_p)
 
 
 @pytest.mark.parametrize("where, wrong", [(0, 1j), (1, -1.0), (2, 1.0), (3, -1j)])
