@@ -104,6 +104,7 @@ class FourierMatrix:
 
         Equal to ``data[j + k, j + l]`` bit for bit; ``data`` is not laid out.
         """
+        k, l = _integer(k, "k", None), _integer(l, "l", None)
         if not (-self.j <= k <= self.j and -self.j <= l <= self.j):
             raise ValueError(f"labels must lie in -{self.j}..{self.j}, got ({k}, {l})")
         # One-element slices of the tables, so the values go through the

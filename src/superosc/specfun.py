@@ -197,6 +197,7 @@ def krawtchouk_shift_table(p: float, N: int) -> np.ndarray:
 
 def krawtchouk_normalized(n: int, x: int, p: float, N: int) -> float:
     """Orthonormal Krawtchouk function K~_n(x) = sqrt(w(x)/h(n)) K_n(x)."""
+    N = _integer(N, "N")
     if not 0 <= _integer(n, "n", None) <= N or not 0 <= _integer(x, "x", None) <= N:
         raise ValueError(f"need 0 <= n, x <= N, got n={n}, x={x}, N={N}")
     return float(krawtchouk_table(p, N)[n, x])

@@ -17,7 +17,6 @@ row phases against the entry-wise Fourier matrix, which never reads them.
 from __future__ import annotations
 
 import math
-from functools import cache
 
 import numpy as np
 
@@ -29,7 +28,7 @@ from .fourier import (
     fourier_analytic,
     fourier_spectral,
 )
-from .oracle import hermitian_tridiag_eigenvalues, krawtchouk_exact, tridiag_eigen
+from .oracle import hermitian_tridiag_eigenvalues, tridiag_eigen
 from .oscillator import (
     ModelParams,
     analytic_U,
@@ -160,6 +159,33 @@ def _sweep_checks(report: VerificationReport, j: int, p: float, tol: float) -> N
                float(np.max(np.abs(hermitian_tridiag_eigenvalues(mp) - spectrum))), 1e-9)
 
 
+def _shift_misses(a: int, b: int, j: int) -> tuple[int, int]:
+    # Misses of the two shift identities of the Krawtchouk polynomials
+    # (Koekoek, Lesky & Swarttouw, section 9.11) at p = a/b, on the integer
+    # 2F1 recurrence that the closed rows and exact overlaps read:
+    # K_k(x; p, N) = A_x[k] / (a^k N!/(N-k)!) for A_x = _hyp2f1_rational(x, N, b, a).
+    # Each identity is multiplied through by its integer scales, so both sides
+    # are compared as integers. Returns (forward, second).
+    upper = [_hyp2f1_rational(x, j, b, a) for x in range(j + 1)]
+    lower = [_hyp2f1_rational(x, j - 1, b, a) for x in range(j)]
+    forward = second = 0
+    for k in range(1, j + 1):
+        scale = a**k * math.perm(j, k)
+        lower_scale = a ** (k - 1) * math.perm(j - 1, k - 1)
+        # a j (K_k(n+1) - K_k(n)) = -k b K_{k-1}(n; j-1)
+        for n in range(j):
+            forward += (a * j * (upper[n + 1][k] - upper[n][k]) * lower_scale
+                        != -k * b * lower[n][k - 1] * scale)
+        # a (j-n) K_{k-1}(n; j-1) - n (b-a) K_{k-1}(n-1; j-1) = a j K_k(n);
+        # the shifted values off the grid n <= j-1 have zero coefficients.
+        for n in range(j + 1):
+            up = lower[n][k - 1] if n < j else 0
+            down = lower[n - 1][k - 1] if n else 0
+            second += ((a * (j - n) * up - n * (b - a) * down) * scale
+                       != a * j * upper[n][k] * lower_scale)
+    return forward, second
+
+
 def _fixed_checks(report: VerificationReport, tol: float) -> None:
     for j in range(0, 11):
         algebra = representation.verify_superalgebra(j)
@@ -184,52 +210,11 @@ def _fixed_checks(report: VerificationReport, tol: float) -> None:
                    float(np.max(np.abs(toward_one.T @ toward_one - np.eye(2 * j + 1)))),
                    1e-12)
 
-    # Each identity reads most values several times: evaluate each once.
-    # A memo lives for one p, the values it can share. Each value is kept as
-    # its integer ratio and each identity is multiplied through by its
-    # integer scale, so both sides are compared as integers.
-    exact_misses = 0
-    for p_num, p_den in ((1, 3), (1, 2), (7, 10)):
-        @cache
-        def exact(n: int, x: int, N: int, p_num=p_num, p_den=p_den) -> tuple[int, int]:
-            return krawtchouk_exact(n, x, p_num, p_den, N).as_integer_ratio()
-
-        for j in range(1, 9):
-            for k in range(1, j + 1):
-                for n in range(j):
-                    # p_num j (K(k, n+1) - K(k, n)) = -k p_den K(k-1, n; j-1)
-                    (a1, b1), (a0, b0) = exact(k, n + 1, j), exact(k, n, j)
-                    c, d = exact(k - 1, n, j - 1)
-                    exact_misses += (p_num * j * (a1 * b0 - a0 * b1) * d
-                                     != -k * p_den * c * b1 * b0)
-                for n in range(j + 1):
-                    # p_num (j-n) up - n (p_den-p_num) down = p_num j K(k, n).
-                    # Both shifted values sit outside the n <= j-1 grid at the
-                    # edges, where their coefficients vanish exactly.
-                    u1, u2 = exact(k - 1, n, j - 1) if n <= j - 1 else (0, 1)
-                    d1, d2 = exact(k - 1, n - 1, j - 1) if n >= 1 else (0, 1)
-                    c, d = exact(k, n, j)
-                    exact_misses += ((p_num * (j - n) * u1 * d2
-                                      - n * (p_den - p_num) * d1 * u2) * d
-                                     != p_num * j * c * u2 * d2)
+    exact_misses = sum(sum(_shift_misses(a, b, j))
+                       for a, b in ((1, 3), (1, 2), (7, 10)) for j in range(1, 9))
     report.add("shift identities exact (j <= 8)", float(exact_misses), 0.0)
-
-    # The forward shift once more, through the integer 2F1 recurrence that
-    # the closed rows and exact overlaps read: with p = a/b,
-    # K_k(x; p, N) = A_x[k] / (a^k N!/(N-k)!) for A_x = _hyp2f1_rational(x, N, b, a),
-    # and a j (K_k(n+1) - K_k(n)) = -k b K_{k-1}(n; j-1) is multiplied
-    # through by both scales.
-    recurrence_misses = 0
-    for a, b in ((1, 10), (1, 2), (9, 10)):
-        for j in (17, 30):
-            upper = [_hyp2f1_rational(x, j, b, a) for x in range(j + 1)]
-            lower = [_hyp2f1_rational(x, j - 1, b, a) for x in range(j)]
-            for k in range(1, j + 1):
-                scale = a**k * math.perm(j, k)
-                lower_scale = a ** (k - 1) * math.perm(j - 1, k - 1)
-                for n in range(j):
-                    recurrence_misses += (a * j * (upper[n + 1][k] - upper[n][k]) * lower_scale
-                                          != -k * b * lower[n][k - 1] * scale)
+    recurrence_misses = sum(_shift_misses(a, b, j)[0]
+                            for a, b in ((1, 10), (1, 2), (9, 10)) for j in (17, 30))
     report.add("forward shift identity, integer recurrence (j <= 30)",
                float(recurrence_misses), 0.0)
 

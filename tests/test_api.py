@@ -62,6 +62,8 @@ _REFUSED = (
     ("ModelParams", (2, "0.5"), "need 0 < p < 1, got p='0.5'"),
     ("J_matrix", (2.5,), "need an integer j, got j=2.5", "float"),
     ("krawtchouk_normalized", (1.5, 0, 0.3, 3), "need an integer n, got n=1.5"),
+    ("krawtchouk_normalized", (0, 0, 0.3, "3"), "need an integer N, got N='3'", "str-N"),
+    ("krawtchouk_normalized", (0, 0, 0.3, None), "need an integer N, got N=None", "None-N"),
     ("tridiag_eigen", ([1.0], [0.0, 0.0], math.nan), "need a finite tol > 0, got tol=nan",
      "nan-tol"),
     ("tridiag_eigen", ([1.0], [0.0, 0.0], math.inf), "need a finite tol > 0, got tol=inf",

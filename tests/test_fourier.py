@@ -433,6 +433,19 @@ def test_entry_accessor_bounds():
         f.entry(3, 0)
 
 
+@pytest.mark.parametrize("k, l", [(True, 0), (0, False), (1.0, 0), (0, "1"), (None, 0)])
+def test_entry_refuses_labels_that_are_not_integers(k, l):
+    f = fourier_analytic(ModelParams(j=2, p=0.5))
+    with pytest.raises(ValueError, match="need an integer"):
+        f.entry(k, l)
+
+
+def test_entry_reads_numpy_integer_labels():
+    f = fourier_spectral(ModelParams(j=3, p=0.3))
+    for k, l in ((np.int64(2), np.int32(-1)), (np.int16(0), np.uint8(3))):
+        assert np.complex128(f.entry(k, l)).tobytes() == f.data[3 + k, 3 + l].tobytes()
+
+
 @pytest.mark.parametrize("route", [fourier_analytic, fourier_spectral])
 @pytest.mark.parametrize("p", [0.1, 0.5, 0.7])
 def test_entry_equals_the_dense_layout_bit_for_bit(route, p):

@@ -1,5 +1,6 @@
 import ast
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -236,6 +237,32 @@ def test_exact_backward_shift_at_smallest_case():
     lhs = -n * (1 - p) / p * down
     rhs = j * krawtchouk_exact(k, n, 1, 3, j)
     assert lhs == rhs == Fraction(-2)
+
+
+def test_exact_shift_identities_hold():
+    # Both shift identities (Koekoek, Lesky & Swarttouw, section 9.11) on the
+    # oracle's own Fraction sums, at the points of verify's exact shift line:
+    #   p j (K_k(n+1) - K_k(n)) = -k K_{k-1}(n; j-1),
+    #   p (j-n) K_{k-1}(n; j-1) - n (1-p) K_{k-1}(n-1; j-1) = p j K_k(n),
+    # where the shifted values off the grid n <= j-1 have zero coefficients.
+    misses = 0
+    for p_num, p_den in ((1, 3), (1, 2), (7, 10)):
+        p = Fraction(p_num, p_den)
+
+        @cache
+        def exact(k, n, N, p_num=p_num, p_den=p_den):
+            return krawtchouk_exact(k, n, p_num, p_den, N) if 0 <= n <= N else Fraction(0)
+
+        for j in range(1, 9):
+            for k in range(1, j + 1):
+                for n in range(j):
+                    misses += (p * j * (exact(k, n + 1, j) - exact(k, n, j))
+                               != -k * exact(k - 1, n, j - 1))
+                for n in range(j + 1):
+                    misses += (p * (j - n) * exact(k - 1, n, j - 1)
+                               - n * (1 - p) * exact(k - 1, n - 1, j - 1)
+                               != p * j * exact(k, n, j))
+    assert misses == 0
 
 
 def test_exact_route_is_rational():

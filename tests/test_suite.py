@@ -1,6 +1,5 @@
 import hashlib
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -92,34 +91,37 @@ def _check(report, name):
     return matches[0]
 
 
+def _perturb_hyp2f1(monkeypatch, x, N, P, Q, k):
+    # Raise coefficient k of one _hyp2f1_rational(x, N, P, Q) by 1, where the
+    # suite reads it: K_k(x; Q/P, N) in both shift lines.
+    hyp2f1_rational = suite._hyp2f1_rational
+
+    def perturbed(x_, N_, P_, Q_, top=None):
+        values = hyp2f1_rational(x_, N_, P_, Q_, top)
+        if (x_, N_, P_, Q_) == (x, N, P, Q):
+            values = values.copy()
+            values[k] += 1
+        return values
+
+    monkeypatch.setattr(suite, "_hyp2f1_rational", perturbed)
+
+
 def test_memoized_exact_shift_identities_catch_one_wrong_value(monkeypatch):
-    krawtchouk_exact = suite.krawtchouk_exact
-
-    def perturbed(n, x, p_num, p_den, N):
-        value = krawtchouk_exact(n, x, p_num, p_den, N)
-        return value + Fraction(1, 10**9) if (n, x, p_num, p_den, N) == (2, 3, 1, 3, 6) else value
-
     name = "shift identities exact (j <= 8)"
     report = VerificationReport()
     suite._fixed_checks(report, 1e-10)
     assert _check(report, name).passed
-    monkeypatch.setattr(suite, "krawtchouk_exact", perturbed)
+    _perturb_hyp2f1(monkeypatch, 3, 6, 3, 1, 2)  # K_2(3; 1/3, 6)
     report = VerificationReport()
     suite._fixed_checks(report, 1e-10)
     assert not _check(report, name).passed
 
 
-# (n, x, p_num, p_den, N): a corner of the largest j, the degree-0 value at
+# (x, N, P, Q, k): a corner of the largest j at p = 1/2, the degree-0 value at
 # N = 0 that only the k = 1 identities read, and a mid-grid value at p = 7/10.
-@pytest.mark.parametrize("where", [(8, 8, 1, 2, 8), (0, 0, 7, 10, 0), (3, 2, 7, 10, 5)])
+@pytest.mark.parametrize("where", [(8, 8, 2, 1, 8), (0, 0, 10, 7, 0), (2, 5, 10, 7, 3)])
 def test_integer_shift_identities_catch_one_wrong_value(monkeypatch, where):
-    krawtchouk_exact = suite.krawtchouk_exact
-
-    def perturbed(n, x, p_num, p_den, N):
-        value = krawtchouk_exact(n, x, p_num, p_den, N)
-        return value * (1 + Fraction(1, 10**30)) if (n, x, p_num, p_den, N) == where else value
-
-    monkeypatch.setattr(suite, "krawtchouk_exact", perturbed)
+    _perturb_hyp2f1(monkeypatch, *where)
     report = VerificationReport()
     suite._fixed_checks(report, 1e-10)
     assert _check(report, "shift identities exact (j <= 8)").residual >= 1.0
@@ -131,20 +133,11 @@ def test_integer_shift_identities_catch_one_wrong_value(monkeypatch, where):
 @pytest.mark.parametrize("where", [(5, 17, 2, 1, 3), (30, 30, 10, 9, 30), (0, 16, 10, 1, 0)],
                          ids=["mid-grid", "corner", "degree-0"])
 def test_integer_recurrence_shift_identity_catches_one_wrong_value(monkeypatch, where):
-    hyp2f1_rational = suite._hyp2f1_rational
-
-    def perturbed(x, N, P, Q, top=None):
-        values = hyp2f1_rational(x, N, P, Q, top)
-        if (x, N, P, Q) == where[:4]:
-            values = values.copy()
-            values[where[4]] += 1
-        return values
-
     name = "forward shift identity, integer recurrence (j <= 30)"
     report = VerificationReport()
     suite._fixed_checks(report, 1e-10)
     assert _check(report, name).passed
-    monkeypatch.setattr(suite, "_hyp2f1_rational", perturbed)
+    _perturb_hyp2f1(monkeypatch, *where)
     report = VerificationReport()
     suite._fixed_checks(report, 1e-10)
     assert _check(report, name).residual >= 1.0
