@@ -159,31 +159,34 @@ def _sweep_checks(report: VerificationReport, j: int, p: float, tol: float) -> N
                float(np.max(np.abs(hermitian_tridiag_eigenvalues(mp) - spectrum))), 1e-9)
 
 
-def _shift_misses(a: int, b: int, j: int) -> tuple[int, int]:
-    # Misses of the two shift identities of the Krawtchouk polynomials
-    # (Koekoek, Lesky & Swarttouw, section 9.11) at p = a/b, on the integer
-    # 2F1 recurrence that the closed rows and exact overlaps read:
+def _shift_misses(a: int, b: int, j: int, second: bool) -> int:
+    # Misses of the forward shift identity of the Krawtchouk polynomials
+    # (Koekoek, Lesky & Swarttouw, section 9.11) at p = a/b, plus those of the
+    # second shift identity if `second`, on the integer 2F1 recurrence that
+    # the closed rows and exact overlaps read:
     # K_k(x; p, N) = A_x[k] / (a^k N!/(N-k)!) for A_x = _hyp2f1_rational(x, N, b, a).
     # Each identity is multiplied through by its integer scales, so both sides
-    # are compared as integers. Returns (forward, second).
+    # are compared as integers.
     upper = [_hyp2f1_rational(x, j, b, a) for x in range(j + 1)]
     lower = [_hyp2f1_rational(x, j - 1, b, a) for x in range(j)]
-    forward = second = 0
+    misses = 0
     for k in range(1, j + 1):
         scale = a**k * math.perm(j, k)
         lower_scale = a ** (k - 1) * math.perm(j - 1, k - 1)
         # a j (K_k(n+1) - K_k(n)) = -k b K_{k-1}(n; j-1)
         for n in range(j):
-            forward += (a * j * (upper[n + 1][k] - upper[n][k]) * lower_scale
-                        != -k * b * lower[n][k - 1] * scale)
+            misses += (a * j * (upper[n + 1][k] - upper[n][k]) * lower_scale
+                       != -k * b * lower[n][k - 1] * scale)
+        if not second:
+            continue
         # a (j-n) K_{k-1}(n; j-1) - n (b-a) K_{k-1}(n-1; j-1) = a j K_k(n);
         # the shifted values off the grid n <= j-1 have zero coefficients.
         for n in range(j + 1):
             up = lower[n][k - 1] if n < j else 0
             down = lower[n - 1][k - 1] if n else 0
-            second += ((a * (j - n) * up - n * (b - a) * down) * scale
+            misses += ((a * (j - n) * up - n * (b - a) * down) * scale
                        != a * j * upper[n][k] * lower_scale)
-    return forward, second
+    return misses
 
 
 def _fixed_checks(report: VerificationReport, tol: float) -> None:
@@ -210,10 +213,10 @@ def _fixed_checks(report: VerificationReport, tol: float) -> None:
                    float(np.max(np.abs(toward_one.T @ toward_one - np.eye(2 * j + 1)))),
                    1e-12)
 
-    exact_misses = sum(sum(_shift_misses(a, b, j))
+    exact_misses = sum(_shift_misses(a, b, j, second=True)
                        for a, b in ((1, 3), (1, 2), (7, 10)) for j in range(1, 9))
     report.add("shift identities exact (j <= 8)", float(exact_misses), 0.0)
-    recurrence_misses = sum(_shift_misses(a, b, j)[0]
+    recurrence_misses = sum(_shift_misses(a, b, j, second=False)
                             for a, b in ((1, 10), (1, 2), (9, 10)) for j in (17, 30))
     report.add("forward shift identity, integer recurrence (j <= 30)",
                float(recurrence_misses), 0.0)

@@ -386,12 +386,12 @@ def _dual_hahn_exact_sign(n: int, x: int, gamma: Fraction, delta: Fraction, N: i
     return _exact_sign(total)
 
 
-def _weak_columns(table: np.ndarray) -> int:
+def _weak_columns(table: np.ndarray) -> np.ndarray:
     # Columns whose row-0 and row-N anchors are both below the floor, i.e.
-    # those whose sign comes from the Sturm count.
+    # those whose sign comes from the neighbour links or the Sturm count.
     N = table.shape[0] - 1
     floor = specfun._ANCHOR_FLOOR
-    return int(np.sum((np.abs(table[0]) < floor) & (np.abs(table[N]) < floor)))
+    return np.nonzero((np.abs(table[0]) < floor) & (np.abs(table[N]) < floor))[0]
 
 
 def test_integer_krawtchouk_sign_matches_oracle():
@@ -403,14 +403,40 @@ def test_integer_krawtchouk_sign_matches_oracle():
                         _exact_sign(krawtchouk_exact(n, x, P, Q, N))
 
 
-@pytest.mark.parametrize("N", [120, 200])
-@pytest.mark.parametrize("P,Q", [(1, 10), (1, 2)])
+def _sampled_weak_columns(table: np.ndarray, size: int) -> list[int]:
+    # A seeded sample of the weak columns (all of them if there are fewer),
+    # as Python ints for the exact sign evaluators.
+    weak = _weak_columns(table)
+    rng = np.random.default_rng(len(table))
+    return rng.choice(weak, min(size, len(weak)), replace=False).tolist()
+
+
+def _krawtchouk_sign_misses(table: np.ndarray, P: int, Q: int, columns) -> list[int]:
+    # Columns whose largest entry differs in sign from the exact K~_n(x; P/Q, N).
+    N = table.shape[0] - 1
+    ns = np.argmax(np.abs(table), axis=0)
+    return [x for x in columns
+            if _exact_sign(table[ns[x], x]) != _krawtchouk_exact_sign(int(ns[x]), x, P, Q, N)]
+
+
+# At N = 700 a seeded sample of weak columns, where the neighbour links of
+# the benchmark's large-j sizes sign them; at N <= 200 every column.
+@pytest.mark.parametrize("N", [120, 200, 700])
+@pytest.mark.parametrize("P,Q", [(1, 10), (1, 2), (3, 10)])
 def test_krawtchouk_table_signs_where_anchors_fail(N, P, Q):
     table = krawtchouk_table(P / Q, N)
-    assert _weak_columns(table) > 0
+    assert len(_weak_columns(table)) > 0
+    columns = _sampled_weak_columns(table, 8) if N > 200 else range(N + 1)
+    assert _krawtchouk_sign_misses(table, P, Q, columns) == []
+
+
+def _dual_hahn_sign_misses(table: np.ndarray, gamma: float, delta: float, columns) -> list[int]:
+    # Columns whose largest entry differs in sign from the exact R~_n(lambda(x)).
+    N = table.shape[0] - 1
     ns = np.argmax(np.abs(table), axis=0)
-    for x in range(N + 1):
-        assert _exact_sign(table[ns[x], x]) == _krawtchouk_exact_sign(int(ns[x]), x, P, Q, N)
+    return [x for x in columns
+            if _exact_sign(table[ns[x], x])
+            != _dual_hahn_exact_sign(int(ns[x]), x, Fraction(gamma), Fraction(delta), N)]
 
 
 def test_dual_hahn_table_signs_where_anchors_fail():
@@ -418,11 +444,70 @@ def test_dual_hahn_table_signs_where_anchors_fail():
     # alpha = 1000, p = 0.3
     gamma, delta, N = 600.0, 1400.0, 200
     table = dual_hahn_table(gamma, delta, N)
-    assert _weak_columns(table) > 0
-    ns = np.argmax(np.abs(table), axis=0)
-    for x in range(N + 1):
-        expected = _dual_hahn_exact_sign(int(ns[x]), x, Fraction(gamma), Fraction(delta), N)
-        assert _exact_sign(table[ns[x], x]) == expected
+    assert len(_weak_columns(table)) > 0
+    assert _dual_hahn_sign_misses(table, gamma, delta, range(N + 1)) == []
+
+
+def test_dual_hahn_paraboson_table_signs_on_a_sample():
+    # verify's paraboson comparison at j = 400: alpha = 10, p = 1/2
+    gamma, delta, N = 10.0, 10.0, 400
+    table = dual_hahn_table(gamma, delta, N)
+    columns = _sampled_weak_columns(table, 8)
+    assert len(columns) == 8
+    assert _dual_hahn_sign_misses(table, gamma, delta, columns) == []
+
+
+def _spy_sign_hooks(monkeypatch) -> list[str]:
+    # Record each call of the Sturm-count sign hooks, from cold caches.
+    specfun._krawtchouk_table.cache_clear()
+    specfun._dual_hahn_table.cache_clear()
+    calls = []
+    for name in ("_krawtchouk_sign", "_dual_hahn_sign"):
+        def spy(*args, _hook=getattr(specfun, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _hook(*args, **kwargs)
+        monkeypatch.setattr(specfun, name, spy)
+    return calls
+
+
+# The benchmark's large-j table sizes: every weak column is signed through
+# the neighbour links, with no Sturm count.
+@pytest.mark.parametrize("build,args", [
+    (krawtchouk_table, (0.1, 450)), (krawtchouk_table, (0.5, 700)),
+    (dual_hahn_table, (10.0, 10.0, 400)), (dual_hahn_table, (600.0, 1400.0, 100)),
+], ids=["K-0.1-450", "K-0.5-700", "D-10-10-400", "D-600-1400-100"])
+def test_weak_columns_signed_by_links_without_the_sign_hooks(monkeypatch, build, args):
+    calls = _spy_sign_hooks(monkeypatch)
+    table = build(*args)
+    assert len(_weak_columns(table)) > 0
+    assert calls == []
+
+
+@pytest.mark.parametrize("N", [40, 200])
+def test_untrusted_links_fall_back_to_the_sturm_count(monkeypatch, N):
+    # At p = 1e-30 every neighbour link, about sqrt(p(x+1)(N-x)), is below
+    # the floor, so the weak columns take the Sturm count.
+    calls = _spy_sign_hooks(monkeypatch)
+    table = krawtchouk_table(1e-30, N)
+    assert calls == ["_krawtchouk_sign"]
+    assert _krawtchouk_sign_misses(table, 1, 10**30, range(N + 1)) == []
+
+
+def test_exact_signs_catch_one_negated_link(monkeypatch):
+    P, Q, N = 1, 2, 200
+    links = specfun._neighbour_links
+    # The link from the first weak column toward its nearest anchored one.
+    k = max(int(_weak_columns(krawtchouk_table(P / Q, N))[0]) - 1, 0)
+
+    def negated(vecs):
+        link = links(vecs)
+        link[k] = -link[k]
+        return link
+
+    monkeypatch.setattr(specfun, "_neighbour_links", negated)
+    # The uncached builder, so that no wrong table is left in the cache.
+    table = specfun._krawtchouk_table.__wrapped__(P / Q, 1.0 - P / Q, N)
+    assert _krawtchouk_sign_misses(table, P, Q, range(N + 1)) != []
 
 
 @pytest.mark.parametrize("p", [1e-12, 0.3, 0.5, 0.9, 1 - 1e-12])
