@@ -5,16 +5,15 @@ Provides the orthonormal Krawtchouk and dual Hahn tables, the exact integer
 values built on it, and the even paraboson wave function, whose magnitude
 is assembled in log space. Orthonormal tables are produced from the
 symmetric Jacobi (three-term recurrence) matrix of each family, whose
-eigenvectors are the normalized polynomial values on the grid. Column
-signs are fixed by anchor rows. Where both anchors are too small to trust,
-a column takes its sign from an anchored one through the dual family: for
-the true table T, T^T diag(0, 1, ..., N) T is the dual family's Jacobi
-matrix, whose off-diagonal is negative, so each product t_x^T diag(n)
-t_{x+1} of neighbouring columns gives their relative sign, all of them in
-one vectorized pass. A link below the anchor floor is not used. A column
-that no trusted chain of links reaches keeps the Sturm count as fallback:
-the sign of its largest entry is the parity of the negative LDL^T pivots
-of the shifted leading Jacobi block, evaluated in floats for all such
+eigenvectors are the normalized polynomial values on the grid. Column signs
+follow one rule. Column 0 is positive, as every polynomial of both families
+is 1 at the first lattice point. For the true table T,
+T^T diag(0, 1, ..., N) T is the dual family's Jacobi matrix, whose
+off-diagonal is negative, so each link t_x^T diag(n) t_{x+1} fixes the sign
+of column x+1 relative to column x, all links in one vectorized pass. A link
+below the floor starts a new chain, whose first column takes the Sturm
+count: the sign of its largest entry is the parity of the negative LDL^T
+pivots of the shifted leading Jacobi block, evaluated in floats for all such
 columns at once. The (p, N-1) Krawtchouk table also follows from the
 (p, N) eigenvectors by the forward shift, with no second eigensolve.
 Internally both Krawtchouk builders take the pair (p, q), q = 1 - p, so a
@@ -39,12 +38,11 @@ __all__ = [
     "paraboson_even_wavefunction",
 ]
 
-# Anchor entries and neighbour links below this are considered
-# sign-unreliable (solver noise is ~1e-14 in an entry and at most 4e-11 in a
-# Krawtchouk link at N = 2000; genuine entries and links we accept are
-# >= 1e-8). A weak column that no link at or above it reaches gets its sign
-# from the Sturm count.
-_ANCHOR_FLOOR = 1e-8
+# Neighbour links below this are considered sign-unreliable (solver noise is
+# at most 4e-11 in a Krawtchouk link at N = 2000; genuine links we accept
+# are >= 1e-8). The column after such a link gets its sign from the Sturm
+# count.
+_LINK_FLOOR = 1e-8
 # Tables kept per cache; a model reads one eigensolved and one shifted
 # Krawtchouk table.
 _CACHE_SIZE = 64
@@ -116,56 +114,29 @@ def _neighbour_links(vecs: np.ndarray) -> np.ndarray:
                      vecs[:, :-1], vecs[:, 1:])
 
 
-def _linked_flips(link: np.ndarray, flip: np.ndarray, weak: np.ndarray) -> np.ndarray:
-    # Give each weak column the flip of the nearest anchored column that a
-    # chain of trusted links reaches, in place; returns the weak columns no
-    # such chain reaches. The dual Jacobi off-diagonal is negative, so across
-    # a link flip[x] flip[x+1] link[x] < 0.
-    N = len(flip) - 1
-    trusted = np.abs(link) >= _ANCHOR_FLOOR
-    # path[x] path[a] is the product of -sign(link) over the links between a
-    # and x, and chain[x] == chain[a] where every one of them is trusted.
-    path = np.cumprod(np.concatenate(([1.0], np.where(trusted & (link > 0), -1.0, 1.0))))
-    chain = np.concatenate(([0], np.cumsum(~trusted)))
-    x = np.arange(N + 1)
-    left = np.maximum.accumulate(np.where(weak, -1, x))
-    right = np.minimum.accumulate(np.where(weak, N + 1, x)[::-1])[::-1]
-    left_ok = (left >= 0) & (chain[np.maximum(left, 0)] == chain)
-    right_ok = (right <= N) & (chain[np.minimum(right, N)] == chain)
-    source = np.where(right_ok & (~left_ok | (right - x < x - left)), right, left)
-    linked = left_ok | right_ok
-    reached = np.nonzero(weak & linked)[0]
-    a = source[reached]
-    flip[reached] = flip[a] * path[a] * path[reached]
-    return weak & ~linked
-
-
 def _jacobi_table(diag: np.ndarray, off: np.ndarray, sign) -> np.ndarray:
     # Orthonormal table of a family whose symmetric Jacobi matrix has
     # diagonal diag and negative off-diagonal off: column x of the
     # eigenvector matrix carries the normalized polynomials at the x-th
-    # lattice point, up to an overall sign. Two anchors have known true
-    # sign: row 0 is sqrt(w(x)) > 0 and row N has sign (-1)^x. Use whichever
-    # is larger. Columns where both are below the floor take their sign from
-    # an anchored column through the neighbour links (_linked_flips); for
-    # any that no trusted link reaches, sign(diag, off, x, ns) (the Sturm
-    # count) gives the true sign of each one's largest entry ns, relative to
-    # row 0.
-    N = len(diag) - 1
+    # lattice point, up to an overall sign. Column 0 is positive, so its
+    # largest entry (>= 1/sqrt(N+1)) signs it. Each link at or above the
+    # floor signs column x+1 from column x, as the true dual off-diagonal is
+    # negative: flip[x] flip[x+1] link[x] < 0. The column after a link below
+    # the floor starts a new chain: sign(diag, off, x, ns) (the Sturm count)
+    # gives the true sign of its largest entry ns, relative to row 0.
     _, vecs = eigh_tridiagonal(diag, off)
-    sx = np.where(np.arange(N + 1) % 2 == 0, 1.0, -1.0)
-    a0 = vecs[0, :]
-    aN = vecs[N, :] * sx
-    anchor = np.where(np.abs(a0) >= np.abs(aN), a0, aN)
-    flip = np.where(anchor < 0, -1.0, 1.0)
-    weak = np.abs(anchor) < _ANCHOR_FLOOR
-    if weak.any():
-        weak = _linked_flips(_neighbour_links(vecs), flip, weak)
-    if weak.any():
-        weak = np.nonzero(weak)[0]
-        ns = np.argmax(np.abs(vecs[:, weak]), axis=0)
-        true_sign = sign(diag, off, weak, ns)
-        flip[weak] = np.where(vecs[ns, weak] > 0, true_sign, -true_sign)
+    link = _neighbour_links(vecs)
+    sign0 = -1.0 if vecs[np.argmax(np.abs(vecs[:, 0])), 0] < 0 else 1.0
+    # copysign keeps each step +-1 even where a link is 0, below the floor.
+    flip = np.concatenate(([sign0], np.copysign(1.0, -link))).cumprod()
+    broken = np.abs(link) < _LINK_FLOOR
+    if broken.any():
+        heads = np.nonzero(broken)[0] + 1
+        ns = np.argmax(np.abs(vecs[:, heads]), axis=0)
+        true_sign = sign(diag, off, heads, ns)
+        # Per chain, the true sign of its head over the one the links gave it.
+        fix = np.where(vecs[ns, heads] * flip[heads] > 0, true_sign, -true_sign)
+        flip *= np.concatenate(([1.0], fix))[np.concatenate(([0], np.cumsum(broken)))]
     vecs *= flip[None, :]
     vecs.flags.writeable = False
     return vecs

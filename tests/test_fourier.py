@@ -224,7 +224,7 @@ def test_analytic_route_takes_p_the_closed_routes_refuse(p):
 
 
 # p around 1/2, where 1.0 - 4p(1-p) would lose up to 1.7e-8, and near the
-# endpoints, where the sign sigma and the weak-anchor fallbacks matter.
+# endpoints, where the sign sigma and the weak columns' signs matter.
 _EXACT_P = (0.1, 0.25, 0.3, 0.37, 0.5, 0.7, 0.9, 0.123456789, 1e-3, 0.999,
             0.5 - 1e-6, 0.5 + 1e-8, 0.5 + 3e-9, 0.5 + 1e-12, 0.5 - 1e-12)
 

@@ -387,11 +387,10 @@ def _dual_hahn_exact_sign(n: int, x: int, gamma: Fraction, delta: Fraction, N: i
 
 
 def _weak_columns(table: np.ndarray) -> np.ndarray:
-    # Columns whose row-0 and row-N anchors are both below the floor, i.e.
-    # those whose sign comes from the neighbour links or the Sturm count.
+    # The hard columns: those whose row-0 and row-N entries are both below
+    # 1e-8, so that neither end row could sign them.
     N = table.shape[0] - 1
-    floor = specfun._ANCHOR_FLOOR
-    return np.nonzero((np.abs(table[0]) < floor) & (np.abs(table[N]) < floor))[0]
+    return np.nonzero((np.abs(table[0]) < 1e-8) & (np.abs(table[N]) < 1e-8))[0]
 
 
 def test_integer_krawtchouk_sign_matches_oracle():
@@ -470,8 +469,8 @@ def _spy_sign_hooks(monkeypatch) -> list[str]:
     return calls
 
 
-# The benchmark's large-j table sizes: every weak column is signed through
-# the neighbour links, with no Sturm count.
+# The benchmark's large-j table sizes: every column, the weak ones too, is
+# signed through the neighbour links, with no Sturm count.
 @pytest.mark.parametrize("build,args", [
     (krawtchouk_table, (0.1, 450)), (krawtchouk_table, (0.5, 700)),
     (dual_hahn_table, (10.0, 10.0, 400)), (dual_hahn_table, (600.0, 1400.0, 100)),
@@ -486,18 +485,22 @@ def test_weak_columns_signed_by_links_without_the_sign_hooks(monkeypatch, build,
 @pytest.mark.parametrize("N", [40, 200])
 def test_untrusted_links_fall_back_to_the_sturm_count(monkeypatch, N):
     # At p = 1e-30 every neighbour link, about sqrt(p(x+1)(N-x)), is below
-    # the floor, so the weak columns take the Sturm count.
+    # the floor, so each column after column 0 starts a chain of its own and
+    # takes the Sturm count, all in one hook call.
     calls = _spy_sign_hooks(monkeypatch)
     table = krawtchouk_table(1e-30, N)
     assert calls == ["_krawtchouk_sign"]
     assert _krawtchouk_sign_misses(table, 1, 10**30, range(N + 1)) == []
 
 
-def test_exact_signs_catch_one_negated_link(monkeypatch):
-    P, Q, N = 1, 2, 200
+# Every link carries signs: negating one flips every column after it, which
+# the exact signs catch, at sizes where no column is weak too.
+@pytest.mark.parametrize("N", [12, 41, 200])
+@pytest.mark.parametrize("which", ["first", "middle", "last"])
+def test_exact_signs_catch_one_negated_link(monkeypatch, which, N):
+    P, Q = 1, 2
+    k = {"first": 0, "middle": N // 2, "last": N - 1}[which]
     links = specfun._neighbour_links
-    # The link from the first weak column toward its nearest anchored one.
-    k = max(int(_weak_columns(krawtchouk_table(P / Q, N))[0]) - 1, 0)
 
     def negated(vecs):
         link = links(vecs)
@@ -507,7 +510,40 @@ def test_exact_signs_catch_one_negated_link(monkeypatch):
     monkeypatch.setattr(specfun, "_neighbour_links", negated)
     # The uncached builder, so that no wrong table is left in the cache.
     table = specfun._krawtchouk_table.__wrapped__(P / Q, 1.0 - P / Q, N)
-    assert _krawtchouk_sign_misses(table, P, Q, range(N + 1)) != []
+    assert _krawtchouk_sign_misses(table, P, Q, range(N + 1)) == list(range(k + 1, N + 1))
+
+
+def _solver_with_negated_columns(monkeypatch):
+    # eigh_tridiagonal, with a seeded subset of its eigenvector columns (and
+    # always column 0) negated.
+    solve = specfun.eigh_tridiagonal
+
+    def negating(diag, off):
+        values, vecs = solve(diag, off)
+        negate = np.random.default_rng(len(diag)).random(len(diag)) < 0.5
+        negate[0] = True
+        vecs[:, negate] *= -1.0
+        return values, vecs
+
+    monkeypatch.setattr(specfun, "eigh_tridiagonal", negating)
+
+
+# At p = 1e-30 the Sturm count signs every column but column 0.
+@pytest.mark.parametrize("N", [0, 1, 12, 41, 250])
+@pytest.mark.parametrize("p", [1e-30, 0.3, 0.5, 1 - 1e-12])
+def test_krawtchouk_signs_ignore_the_solver_column_signs(monkeypatch, p, N):
+    build = specfun._krawtchouk_table.__wrapped__
+    expected = build(p, 1.0 - p, N).tobytes()
+    _solver_with_negated_columns(monkeypatch)
+    assert build(p, 1.0 - p, N).tobytes() == expected
+
+
+@pytest.mark.parametrize("gamma,delta,N", [(10.0, 10.0, 200), (600.0, 1400.0, 100)])
+def test_dual_hahn_signs_ignore_the_solver_column_signs(monkeypatch, gamma, delta, N):
+    build = specfun._dual_hahn_table.__wrapped__
+    expected = build(gamma, delta, N).tobytes()
+    _solver_with_negated_columns(monkeypatch)
+    assert build(gamma, delta, N).tobytes() == expected
 
 
 @pytest.mark.parametrize("p", [1e-12, 0.3, 0.5, 0.9, 1 - 1e-12])
