@@ -5,14 +5,18 @@ Subcommands: ``spectrum`` (position/momentum/Hamiltonian eigenvalues),
 either route), ``verify`` (full invariant suite) and ``limits`` (paraboson
 comparison table).
 
-Output is deterministic: identical flags produce byte-identical text.
-Floats are printed with 17 significant digits (round-trip safe); complex
-values become [re, im] pairs in JSON and paired columns in CSV. Exit codes:
-0 success, 1 verification failure, 2 usage error, 3 domain error or an
---output that cannot be written. For ``verify``, the environment variable
-SUPEROSC_TOL overrides the default check tolerance; an explicit --tol flag
-wins over both. Either must be finite and positive. Each command refuses,
-before it allocates anything, a j whose estimated peak memory is over 2 GiB.
+Identical flags produce byte-identical text for a fixed BLAS build and
+thread count and, for ``verify``, a fixed SUPEROSC_TOL: the number of BLAS
+threads can move the last bits of large outputs (``fourier --method
+spectral`` from j = 150, ``wavefunction`` at j = 1000, ``limits`` at
+j = 2000). Floats are printed with 17 significant digits (round-trip
+safe); complex values become [re, im] pairs in JSON and paired columns in
+CSV. Exit codes: 0 success, 1 verification failure, 2 usage error, 3
+domain error or an --output that cannot be written. For ``verify``, the
+environment variable SUPEROSC_TOL overrides the default check tolerance;
+an explicit --tol flag wins over both. Either must be finite and positive.
+Each command refuses, before it allocates anything, a j whose estimated
+peak memory is over 2 GiB.
 """
 
 from __future__ import annotations

@@ -2,9 +2,9 @@
 
 The transform F maps position wave vectors to momentum ones, V = J U = U F.
 F is fixed by two real overlap tables, S(p, j) of size (j+1)^2 and
-S(p, j-1) of size j^2, and a :class:`FourierMatrix` holds just those; its
-dense complex (2j+1)^2 matrix is laid out from them on first read, and
-:func:`apply_fourier` maps wave vectors through them in the same layout. The
+S(p, j-1) of size j^2, and a :class:`FourierMatrix` holds just those. One
+mirror fold lays out its dense (2j+1)^2 matrix on first read, the single
+row an entry reads in O(j), and :func:`apply_fourier`'s output. The
 tables come by two independent routes. The spectral route is U^T J U,
 split by row parity: U's even rows are the (p, j) Krawtchouk table and its
 odd rows the (p, j-1) one, so S(p, j) = T diag(s_e) T^T and
@@ -102,22 +102,18 @@ class FourierMatrix:
     def entry(self, k: int, l: int) -> complex:
         """Entry F_{k,l} for centered labels k, l in -j..j, read from the tables.
 
-        Equal to ``data[j + k, j + l]`` bit for bit; ``data`` is not laid out.
+        Equal to ``data[j + k, j + l]`` bit for bit: row |k| is laid out alone,
+        in O(j), and row -k is row k reversed; ``data`` is not laid out.
         """
         k, l = _integer(k, "k", None), _integer(l, "l", None)
         if not (-self.j <= k <= self.j and -self.j <= l <= self.j):
             raise ValueError(f"labels must lie in -{self.j}..{self.j}, got ({k}, {l})")
-        # One-element slices of the tables, so the values go through the
-        # same array arithmetic as the dense layout. With one label 0, the
-        # edge reads s(m + n, 0), the other label's |k|; with either label
-        # 0 the odd slice is empty and its block values are not read.
-        m, n = abs(k), abs(l)
-        center, edge, same, cross = _block_values(
-            self.even[0, 0], self.even[m + n:m + n + 1, 0],
-            self.even[m:m + 1, n:n + 1], self.odd[m - 1:m, n - 1:n])
-        if m and n:
-            return complex((same if (k > 0) == (l > 0) else cross)[0, 0])
-        return complex(edge[0] if m or n else center)
+        m, s, row = abs(k), self.even, np.empty((1, self.shape[1]), dtype=complex)
+        if m:
+            _unfold(_EDGE * s[m:m + 1, 0], _INNER * s[m:m + 1, 1:], _HALF * self.odd[m - 1:m], row)
+        else:
+            _unfold(_CENTER * s[0, 0], _EDGE * s[1:, 0], None, row[0])
+        return complex(row[0, self.j + (l if k >= 0 else -l)])
 
     def __array__(self, dtype=None, copy=None):
         # numpy 2's protocol: copy=True always copies; copy=False never does,
@@ -243,30 +239,37 @@ def _sigma(table: np.ndarray, p: float) -> np.ndarray:
     return table * np.multiply.outer(alt[::-1], alt)
 
 
-def _block_values(center: float, edge: np.ndarray, inner: np.ndarray,
-                  inner_odd: np.ndarray) -> tuple:
-    # F's entries from overlap values: the center -i s(0,0), the edges
-    # -(i/sqrt 2) s(k,0), and the interior -(i/2) s(k,l) +- (1/2) s'(k-1,l-1),
-    # + where k and l have one sign (the parity-preserving blocks) and -
-    # where they differ.
-    a = -0.5j * inner
-    b = 0.5 * inner_odd
-    return -1j * center, -1j * _INV_SQRT2 * edge, a + b, a - b
+# F's coefficients: -i s(0,0) at the center, -(i/sqrt 2) s(k,0) on the center
+# row and column, and -(i/2) s(k,l) +- (1/2) s'(k-1,l-1) inside, + where k
+# and l have one sign (the parity-preserving blocks) and - where they differ.
+_CENTER, _EDGE, _INNER, _HALF = -1j, -1j * _INV_SQRT2, -0.5j, 0.5
+
+
+def _unfold(center, even, odd, out: np.ndarray) -> None:
+    # The mirror fold along out's last axis, labels -j..j: label 0 gets
+    # center, +l gets even + odd and -l gets even - odd, where an even or
+    # odd of None is zero. The -l half is out[..., :j] reversed (empty at j = 0).
+    j = out.shape[-1] // 2
+    upper, lower = out[..., j + 1:], out[..., :j][..., ::-1]
+    out[..., j] = center
+    if odd is None:
+        upper[...] = lower[...] = even
+    elif even is None:
+        upper[...] = odd
+        np.negative(odd, out=lower)
+    else:
+        np.add(even, odd, out=upper)
+        np.subtract(even, odd, out=lower)
 
 
 def _fourier_blocks(s_j: np.ndarray, s_odd: np.ndarray) -> np.ndarray:
-    # F from the overlap tables s = S(., .; p, j) and s' = S(., .; p, j-1).
+    # F from the overlap tables s = S(., .; p, j) and s' = S(., .; p, j-1):
+    # rows 0..j of the labels folded, rows -1..-j their reversals (F[-k] = F[k][::-1]).
     j = len(s_j) - 1
-    mat = np.zeros((2 * j + 1, 2 * j + 1), dtype=complex)
-    center, edge, same, cross = _block_values(s_j[0, 0], s_j[1:, 0], s_j[1:, 1:], s_odd)
-    mat[j, j] = center
-    if j >= 1:
-        # Row k-1 of each block is label k = 1..j; the slices j-1::-1 run
-        # over the mirrored labels j-k.
-        up, down = slice(j + 1, None), slice(j - 1, None, -1)
-        mat[up, j] = mat[down, j] = mat[j, up] = mat[j, down] = edge
-        mat[down, down] = mat[up, up] = same
-        mat[down, up] = mat[up, down] = cross
+    mat = np.empty((2 * j + 1, 2 * j + 1), dtype=complex)
+    _unfold(_CENTER * s_j[0, 0], _EDGE * s_j[1:, 0], None, mat[j])
+    _unfold(_EDGE * s_j[1:, 0], _INNER * s_j[1:, 1:], _HALF * s_odd, mat[j + 1:])
+    mat[:j] = mat[:j:-1, ::-1]
     return mat
 
 
@@ -276,9 +279,9 @@ def apply_fourier(phi_stack: np.ndarray, transform: FourierMatrix) -> np.ndarray
     Rows of ``phi_stack`` are position wave functions sampled on the grid;
     returns the matching stack of momentum wave vectors, stack @ F. With
     the full eigenvector matrix as the stack this realizes V = U F. F is
-    applied from its two real overlap tables with the block coefficients
-    of its dense layout, two real products of (j+1)^2 and j^2 per row, and
-    the dense matrix is not read.
+    applied from its two real overlap tables with the coefficients and the
+    mirror fold of its dense layout, two real products of (j+1)^2 and j^2
+    per row, and the dense matrix is not read.
     """
     if not isinstance(transform, FourierMatrix):
         raise ValueError(f"need a FourierMatrix transform, got {type(transform).__name__}")
@@ -291,21 +294,17 @@ def apply_fourier(phi_stack: np.ndarray, transform: FourierMatrix) -> np.ndarray
     if split:
         phi = np.concatenate((phi.real, phi.imag))
     # The mirror halves of each row, phi+ at labels k = 1..j and phi- at -k,
-    # meet the interior blocks only as sigma = phi+ + phi- (through
-    # -(i/2) S) and delta = phi+ - phi- (through S'/2), and the center and
-    # edges read S's row 0.
+    # meet the interior only as sigma = phi+ + phi- (through -(i/2) S) and
+    # delta = phi+ - phi- (through S'/2), and the center and edges read S's
+    # row 0: the output's imaginary part folds sigma, its real part delta.
     even, odd, j = transform.even, transform.odd, transform.j
     center, plus, minus = phi[:, j], phi[:, j + 1:], phi[:, :j][:, ::-1]
     sums = (plus + minus) @ even[1:]
-    half = 0.5 * ((plus - minus) @ odd)
     out = np.empty((len(phi), 2 * j + 1), dtype=complex)
-    re, im = out.real, out.imag
-    re[:, j] = 0.0
-    im[:, j] = -(center * even[0, 0]) - _INV_SQRT2 * sums[:, 0]
-    im[:, j + 1:] = -_INV_SQRT2 * (center[:, None] * even[0, 1:]) - 0.5 * sums[:, 1:]
-    im[:, :j] = im[:, :j:-1]
-    re[:, j + 1:] = half
-    np.negative(half[:, ::-1], out=re[:, :j])
+    _unfold(_CENTER.imag * (center * even[0, 0]) + _EDGE.imag * sums[:, 0],
+            _EDGE.imag * (center[:, None] * even[0, 1:]) + _INNER.imag * sums[:, 1:],
+            None, out.imag)
+    _unfold(0.0, None, _HALF * ((plus - minus) @ odd), out.real)
     return out[:rows] + 1j * out[rows:] if split else out
 
 

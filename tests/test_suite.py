@@ -85,6 +85,29 @@ def test_spectral_transform_line_catches_swapped_interior_blocks(monkeypatch):
     assert set(failed) == {"spectral transform = U^T J U"}
 
 
+def test_a_fault_in_the_shared_mirror_fold_fails_verify(monkeypatch):
+    # apply_fourier and the dense layout write labels +-l through one fold;
+    # swapping its halves must fail both lines that read F against U and V,
+    # and no line that reads only the tables.
+    unfold = fourier._unfold
+
+    def swapped(center, even, odd, out):
+        unfold(center, even, odd, out)
+        j = out.shape[-1] // 2
+        upper, lower = out[..., j + 1:].copy(), out[..., :j][..., ::-1].copy()
+        out[..., j + 1:], out[..., :j][..., ::-1] = lower, upper
+
+    monkeypatch.setattr(fourier, "_unfold", swapped)
+    report = VerificationReport()
+    for p in (0.3, 0.7):
+        for j in range(1, 5):
+            suite._sweep_checks(report, j, p, 1e-10)
+    failed = [c.name.split(" ", 2)[2] for c in report.checks if not c.passed]
+    assert failed.count("V = U F") == 8
+    assert failed.count("spectral transform = U^T J U") == 8
+    assert set(failed) == {"V = U F", "spectral transform = U^T J U"}
+
+
 def _check(report, name):
     matches = [c for c in report.checks if c.name == name]
     assert len(matches) == 1
