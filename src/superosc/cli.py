@@ -201,9 +201,11 @@ def _common_output_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--output", default=None)
 
 
-def _csv(header: str, columns: str, rows: list[str]) -> str:
-    # One CSV block: "# " and the header, the column names, then the rows,
-    # formatted by the caller so that no float list outlives its text.
+def _csv(fields: dict, columns: str, rows: list[str]) -> str:
+    # One CSV block: "# " and the fields as k=v (floats through _fmt, as in
+    # the JSON object), the column names, then the rows, formatted by the
+    # caller so that no float list outlives its text.
+    header = " ".join(f"{k}={_fmt(v) if isinstance(v, float) else v}" for k, v in fields.items())
     return "\n".join([f"# {header}", columns, *rows])
 
 
@@ -214,25 +216,18 @@ def cmd_spectrum(args: argparse.Namespace) -> tuple[int, str]:
         values = np.arange(2 * args.j + 1) + 0.5
     else:
         values = position_spectrum(args.j)
+    fields = {"j": args.j, "observable": args.observable}
     if args.format == "json":
-        return 0, _json({"j": args.j, "observable": args.observable, "values": values})
-    return 0, _csv(f"j={args.j} observable={args.observable}", "value",
-                   [_fmt_seq(values.tolist(), sep="\n")])
+        return 0, _json({**fields, "values": values})
+    return 0, _csv(fields, "value", [_fmt_seq(values.tolist(), sep="\n")])
 
 
-def _wave_csv(table) -> str:
+def _wave_csv(fields: dict, table) -> str:
     complex_amp = np.iscomplexobj(table.amplitudes)
     columns = (table.grid, table.amplitudes.real, table.amplitudes.imag) if complex_amp \
         else (table.grid, table.amplitudes)
-    return _csv(f"j={table.j} p={_fmt(table.p)} n={table.n} kind={table.kind} "
-                f"energy={_fmt(table.energy)}",
-                "grid,amplitude_re,amplitude_im" if complex_amp else "grid,amplitude_re",
+    return _csv(fields, "grid,amplitude_re,amplitude_im" if complex_amp else "grid,amplitude_re",
                 [_fmt_seq(row) for row in np.column_stack(columns).tolist()])
-
-
-def _wave_json(table) -> dict:
-    return {"j": table.j, "p": table.p, "n": table.n, "kind": table.kind,
-            "energy": table.energy, "grid": table.grid, "amplitude": table.amplitudes}
 
 
 def cmd_wavefunction(args: argparse.Namespace) -> tuple[int, str]:
@@ -240,26 +235,32 @@ def cmd_wavefunction(args: argparse.Namespace) -> tuple[int, str]:
     params = ModelParams(args.j, args.p)
     build = position_wavefunction if args.kind == "position" else momentum_wavefunction
     tables = [build(params, n) for n in args.n]
+    fields = [{"j": t.j, "p": t.p, "n": t.n, "kind": t.kind, "energy": t.energy} for t in tables]
     if args.format == "json":
-        return 0, _json([_wave_json(t) for t in tables])
-    return 0, "\n\n".join([_wave_csv(t) for t in tables])
+        return 0, _json([{**f, "grid": t.grid, "amplitude": t.amplitudes}
+                         for f, t in zip(fields, tables)])
+    return 0, "\n\n".join([_wave_csv(f, t) for f, t in zip(fields, tables)])
 
 
 def cmd_fourier(args: argparse.Namespace) -> tuple[int, str]:
     params = ModelParams(args.j, args.p)
     matrix = (fourier_analytic(params) if args.method == "analytic"
               else fourier_spectral(params)).data
+    fields = {"j": args.j, "p": args.p, "method": args.method}
     if args.format == "json":
-        return 0, _json({"j": args.j, "p": args.p, "method": args.method, "matrix": matrix})
-    return 0, _csv(f"j={args.j} p={_fmt(args.p)} method={args.method}",
-                   ",".join(f"c{c}_re,c{c}_im" for c in range(matrix.shape[0])),
+        return 0, _json({**fields, "matrix": matrix})
+    return 0, _csv(fields, ",".join(f"c{c}_re,c{c}_im" for c in range(matrix.shape[0])),
                    [",".join(row.tolist()) for row in _fmt_array(matrix)])
 
 
 def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
     tol = args.tol
     if tol is None:
-        tol = float(os.environ.get("SUPEROSC_TOL", _DEFAULT_TOL))
+        env = os.environ.get("SUPEROSC_TOL")
+        try:
+            tol = _DEFAULT_TOL if env is None else float(env)
+        except ValueError:
+            raise ValueError(f"need a finite tol > 0, got SUPEROSC_TOL={env!r}") from None
     report = run_suite(j_max=args.j_max, p_list=args.p_list, tol=tol)
     text = _json(report.to_dict()) if args.format == "json" else "\n".join(report.lines())
     return (0 if report.passed else 1), text
@@ -269,11 +270,11 @@ def cmd_limits(args: argparse.Namespace) -> tuple[int, str]:
     # The dual Hahn and Krawtchouk tables behind each row are (j+1)x(j+1).
     grid_count = min(15, args.j)
     rows = paraboson_limit_table(args.j, args.p, args.alpha, args.n, grid_count)
+    fields = {"j": args.j, "p": args.p, "alpha": args.alpha, "n": args.n}
     if args.format == "json":
-        return 0, _json({"j": args.j, "p": args.p, "alpha": args.alpha, "n": args.n,
-                         "rows": rows})
-    return 0, _csv(f"j={args.j} p={_fmt(args.p)} alpha={_fmt(args.alpha)} n={args.n}",
-                   "x,discrete,continuum,limit_gap", [_fmt_seq(row) for row in rows.tolist()])
+        return 0, _json({**fields, "rows": rows})
+    return 0, _csv(fields, "x,discrete,continuum,limit_gap",
+                   [_fmt_seq(row) for row in rows.tolist()])
 
 
 _COMMANDS = {
@@ -300,7 +301,7 @@ def main(argv: list[str] | None = None) -> int:
         with open(args.output, "w", encoding="utf-8") if args.output \
                 else contextlib.nullcontext(sys.stdout) as out:
             print(text, file=out)
-    except (ValueError, IndexError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     return code

@@ -105,15 +105,14 @@ class FourierMatrix:
         Equal to ``data[j + k, j + l]`` bit for bit: row |k| is laid out alone,
         in O(j), and row -k is row k reversed; ``data`` is not laid out.
         """
-        k, l = _integer(k, "k", None), _integer(l, "l", None)
-        if not (-self.j <= k <= self.j and -self.j <= l <= self.j):
-            raise ValueError(f"labels must lie in -{self.j}..{self.j}, got ({k}, {l})")
-        m, s, row = abs(k), self.even, np.empty((1, self.shape[1]), dtype=complex)
+        j = self.j
+        k, l = _integer(k, "k", -j, j), _integer(l, "l", -j, j)
+        m, s, row = abs(k), self.even, np.empty((1, 2 * j + 1), dtype=complex)
         if m:
             _unfold(_EDGE * s[m:m + 1, 0], _INNER * s[m:m + 1, 1:], _HALF * self.odd[m - 1:m], row)
         else:
             _unfold(_CENTER * s[0, 0], _EDGE * s[1:, 0], None, row[0])
-        return complex(row[0, self.j + (l if k >= 0 else -l)])
+        return complex(row[0, j + (l if k >= 0 else -l)])
 
     def __array__(self, dtype=None, copy=None):
         # numpy 2's protocol: copy=True always copies; copy=False never does,
@@ -168,7 +167,7 @@ def fourier_spectral(params: ModelParams) -> FourierMatrix:
     p, j = params.p, params.j
     s_even, s_odd = _table_signs(_quarter_turns(params.dim))
     even = _signed_gram(krawtchouk_table(p, j), s_even)
-    odd = _signed_gram(krawtchouk_shift_table(p, j), s_odd) if j else np.empty((0, 0))
+    odd = _signed_gram(krawtchouk_shift_table(p, j), s_odd)
     return FourierMatrix(even, odd)
 
 
@@ -210,9 +209,8 @@ def S_closed(k: int, l: int, p: float, j: int) -> float:
     symmetry K~_{j-k}(n) = (-1)^n K~_k(n) and orthogonality elsewhere), which
     also covers the removable singularity of the closed form at k + l > j.
     """
-    k, l, j = _integer(k, "k", None), _integer(l, "l", None), _integer(j, "j", None)
-    if not (0 <= k <= j and 0 <= l <= j):
-        raise ValueError(f"need 0 <= k, l <= j, got k={k}, l={l}, j={j}")
+    j = _integer(j, "j")
+    k, l = _integer(k, "k", 0, j), _integer(l, "l", 0, j)
     k, l = max(k, l), min(k, l)
     return _S_row(_probability(p), j, k, l)[l]
 
@@ -335,10 +333,9 @@ def fourier_analytic(params: ModelParams) -> FourierMatrix:
     if q == 0.0:
         return FourierMatrix(np.eye(j + 1)[::-1], np.eye(j)[::-1])
     w = 4.0 * p * (1.0 - p)
-    odd = _krawtchouk_shift_table(w, q, j) if j else np.empty((0, 0))
     # S is symmetric; the tables are so only to the eigensolver's error,
     # whose antisymmetric part the average removes.
-    tables = _krawtchouk_table(w, q, j), odd
+    tables = _krawtchouk_table(w, q, j), _krawtchouk_shift_table(w, q, j)
     return FourierMatrix(*(_sigma(0.5 * (t + t.T), p) for t in tables))
 
 
@@ -400,7 +397,7 @@ def _eigensystem_report(
     # U^T's columns fold to (-1)^n times the columns of T and T', so
     # F U^T = U^T J reads S T = T diag(s_e) and S' T' = T' diag(s_o).
     table = krawtchouk_table(p, j)
-    shifted = krawtchouk_shift_table(p, j) if j else np.empty((0, 0))
+    shifted = krawtchouk_shift_table(p, j)
     report.add(f"{label} eigenvector rows (F U^T = U^T J)",
                _largest(analytic.even @ table - table * s_even,
                         analytic.odd @ shifted - shifted * s_odd), tol)

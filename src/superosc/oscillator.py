@@ -167,8 +167,7 @@ def analytic_U(params: ModelParams) -> np.ndarray:
     p, j = params.p, params.j
     mat = np.empty((params.dim, params.dim))
     _fill_even(krawtchouk_table(p, j), 0, mat[0::2])
-    if j:
-        _fill_odd(krawtchouk_shift_table(p, j), 0, mat[1::2])
+    _fill_odd(krawtchouk_shift_table(p, j), 0, mat[1::2])
     return mat
 
 

@@ -51,16 +51,19 @@ _CACHE_SIZE = 64
 # The input rule of every entry point, one helper per kind of input, each
 # returning the checked value. Every row read runs them: ABC isinstance checks
 # in place of class identity and operator.index would cost it a fifth.
-def _integer(value, name: str, least: int | None = 0) -> int:
-    # An int or numpy integer (not bool, not 2.0), at least `least` unless None.
+def _integer(value, name: str, least: int = 0, most: int | None = None) -> int:
+    # An int or numpy integer (not bool, not 2.0) in least..most, unbounded
+    # above when most is None.
     try:
         if value.__class__ is bool:
             raise TypeError
         checked = operator.index(value)
     except TypeError:
         raise ValueError(f"need an integer {name}, got {name}={value!r}") from None
-    if least is not None and checked < least:
+    if checked < least:
         raise ValueError(f"need {name} >= {least}, got {name}={checked}")
+    if most is not None and checked > most:
+        raise ValueError(f"need {name} <= {most}, got {name}={checked}")
     return checked
 
 
@@ -205,18 +208,18 @@ def krawtchouk_shift_table(p: float, N: int) -> np.ndarray:
     Row k-1 is the forward shift of degree k of the (p, N) eigenvectors, so
     no second eigensolve runs; each column is scaled to unit norm. It
     agrees with ``krawtchouk_table(p, N-1)`` within 1e-12 and with the same
-    signs (tested for N <= 2000, p from 1e-12 to 1 - 1e-12). Cached and
-    read-only like :func:`krawtchouk_table`.
+    signs (tested for N <= 2000, p from 1e-12 to 1 - 1e-12). Defined for
+    N >= 0: at N = 0 the (p, -1) family is empty and so is the table, 0x0.
+    Cached and read-only like :func:`krawtchouk_table`.
     """
-    N, p = _integer(N, "N", 1), _probability(p)
+    N, p = _integer(N, "N"), _probability(p)
     return _krawtchouk_shift_table(p, 1.0 - p, N)
 
 
 def krawtchouk_normalized(n: int, x: int, p: float, N: int) -> float:
     """Orthonormal Krawtchouk function K~_n(x) = sqrt(w(x)/h(n)) K_n(x)."""
     N = _integer(N, "N")
-    if not 0 <= _integer(n, "n", None) <= N or not 0 <= _integer(x, "x", None) <= N:
-        raise ValueError(f"need 0 <= n, x <= N, got n={n}, x={x}, N={N}")
+    n, x = _integer(n, "n", 0, N), _integer(x, "x", 0, N)
     return float(krawtchouk_table(p, N)[n, x])
 
 

@@ -63,10 +63,7 @@ class WaveTable:
 
 
 def _check_level(params: ModelParams, n: int) -> int:
-    level = _integer(n, "n", None)
-    if not 0 <= level <= 2 * params.j:
-        raise IndexError(f"level must lie in 0..{2 * params.j}, got n={n}")
-    return level
+    return _integer(n, "n", 0, 2 * params.j)
 
 
 def position_wavefunction(params: ModelParams, n: int) -> WaveTable:
@@ -173,10 +170,7 @@ def paraboson_limit_table(j: int, p: float, alpha: float, n: int,
         finite and positive.
     """
     j, p, alpha = _integer(j, "j", 1), _probability(p), _finite(alpha, "alpha", 0)
-    if not 0 <= _integer(n, "n", None) <= j:
-        raise ValueError(f"need 0 <= n <= j, got n={n}")
-    if _integer(grid_count, "grid_count", 1) > j:
-        raise ValueError(f"grid exhausted: grid_count={grid_count} exceeds j={j}")
+    n, grid_count = _integer(n, "n", 0, j), _integer(grid_count, "grid_count", 1, j)
     gamma, delta = 2.0 * p * alpha, 2.0 * (1.0 - p) * alpha
     k = np.arange(1, grid_count + 1)
     x = np.sqrt(k * (k + 2.0 * alpha + 1.0) / j)

@@ -95,6 +95,47 @@ def test_input_checks_raise_their_message(name, args, message):
         getattr(superosc, name)(*args)
 
 
+_MODEL = superosc.ModelParams(3, 0.3)
+# Every bounded integer one past each end of its range, at j = N = 3:
+# (label, call, message). Each goes through the one integer rule.
+_PAST_THE_BOUND = (
+    ("position-level", lambda: superosc.position_wavefunction(_MODEL, 7), "need n <= 6, got n=7"),
+    ("position-level-below", lambda: superosc.position_wavefunction(_MODEL, -1),
+     "need n >= 0, got n=-1"),
+    ("momentum-level", lambda: superosc.momentum_wavefunction(_MODEL, 7), "need n <= 6, got n=7"),
+    ("closed-level", lambda: superosc.position_wavefunction_closed(_MODEL, 7),
+     "need n <= 6, got n=7"),
+    ("node-count-level", lambda: superosc.node_count(_MODEL, 7), "need n <= 6, got n=7"),
+    ("limit-n", lambda: superosc.paraboson_limit_table(3, 0.3, 10.0, 4, 3), "need n <= 3, got n=4"),
+    ("limit-n-below", lambda: superosc.paraboson_limit_table(3, 0.3, 10.0, -1, 3),
+     "need n >= 0, got n=-1"),
+    ("limit-grid-count", lambda: superosc.paraboson_limit_table(3, 0.3, 10.0, 0, 4),
+     "need grid_count <= 3, got grid_count=4"),
+    ("normalized-n", lambda: superosc.krawtchouk_normalized(4, 0, 0.3, 3), "need n <= 3, got n=4"),
+    ("normalized-n-below", lambda: superosc.krawtchouk_normalized(-1, 0, 0.3, 3),
+     "need n >= 0, got n=-1"),
+    ("normalized-x", lambda: superosc.krawtchouk_normalized(0, 4, 0.3, 3), "need x <= 3, got x=4"),
+    ("normalized-x-below", lambda: superosc.krawtchouk_normalized(0, -1, 0.3, 3),
+     "need x >= 0, got x=-1"),
+    ("S_closed-k", lambda: superosc.S_closed(4, 0, 0.3, 3), "need k <= 3, got k=4"),
+    ("S_closed-k-below", lambda: superosc.S_closed(-1, 0, 0.3, 3), "need k >= 0, got k=-1"),
+    ("S_closed-l", lambda: superosc.S_closed(0, 4, 0.3, 3), "need l <= 3, got l=4"),
+    ("entry-k", lambda: superosc.fourier_spectral(_MODEL).entry(4, 0), "need k <= 3, got k=4"),
+    ("entry-k-below", lambda: superosc.fourier_spectral(_MODEL).entry(-4, 0),
+     "need k >= -3, got k=-4"),
+    ("entry-l", lambda: superosc.fourier_spectral(_MODEL).entry(0, 4), "need l <= 3, got l=4"),
+    ("entry-l-below", lambda: superosc.fourier_spectral(_MODEL).entry(0, -4),
+     "need l >= -3, got l=-4"),
+)
+
+
+@pytest.mark.parametrize("call,message", [row[1:] for row in _PAST_THE_BOUND],
+                         ids=[row[0] for row in _PAST_THE_BOUND])
+def test_ranges_raise_the_integer_rule_message(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
 def test_apply_fourier_moved_beside_the_layout_it_reads():
     # F's layout lives in one module: wavefunctions imports nothing from
     # fourier, and the package's apply_fourier is fourier's.

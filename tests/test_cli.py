@@ -289,6 +289,12 @@ def test_tol_is_a_verify_only_flag(capsys, argv):
     assert run(capsys, *argv, "--tol", "1e-3")[0] == 2
 
 
+def test_level_out_of_range_exits_3_with_one_error_line(capsys):
+    code, out, err = run(capsys, "wavefunction", "--j", "3", "--p", "0.3", "--n", "7")
+    assert (code, out) == (3, "")
+    assert err.splitlines() == ["error: need n <= 6, got n=7"]
+
+
 def test_domain_errors_exit_3(capsys):
     code, _, err = run(capsys, "wavefunction", "--j", "2", "--p", "0.5", "--n", "9")
     assert code == 3 and "error:" in err
@@ -388,6 +394,13 @@ def test_bad_tolerance_exits_3(capsys, monkeypatch, tol):
     monkeypatch.setenv("SUPEROSC_TOL", tol)
     code, out, err = run(capsys, "verify", "--j-max", "1")
     assert (code, out) == (3, "") and err.startswith("error:") and "tol" in err
+
+
+@pytest.mark.parametrize("tol", ["abc", ""], ids=["abc", "empty"])
+def test_unreadable_env_tolerance_exits_3_naming_the_variable(capsys, monkeypatch, tol):
+    monkeypatch.setenv("SUPEROSC_TOL", tol)
+    code, out, err = run(capsys, "verify", "--j-max", "1")
+    assert (code, out) == (3, "") and err.startswith("error:") and "SUPEROSC_TOL" in err
 
 
 @pytest.mark.filterwarnings("error")
@@ -689,6 +702,61 @@ def test_phased_output_matches_golden_hash(capsys, spectral_hashes, kind, j, p):
         digest = hashlib.sha256(out.encode()).hexdigest()
     assert (code, err) == (0, "")
     assert digest == _PHASED_OUTPUT_SHA256[kind, j, p]
+
+
+_LEVELS_12 = ",".join(map(str, range(25)))
+# sha256 of stdout for output no hash above covers: every spectrum, limits,
+# position rows in both formats, momentum rows and the spectral transform in
+# JSON, j = 0 included. The header fields and the JSON objects are pinned
+# with them. These cases give the same bytes at one and two BLAS threads.
+_OUTPUT_SHA256 = {
+    ("spectrum", "--j", "7", "--observable", "q"):
+        "7d9b2950c9d909b18fa71725b490b002a55d1308669cda43aab2747dc114e1e6",
+    ("spectrum", "--j", "7", "--observable", "p", "--format", "json"):
+        "9cd965c8b97004f050965838aef7d472710371f183705e42ce2597843d3554cc",
+    ("spectrum", "--j", "7", "--observable", "H"):
+        "6b437ec27388788b1bdcae33a9d6a02a9faaab9ef12f8f6ad25e43f55f6d6e78",
+    ("spectrum", "--j", "7", "--observable", "H", "--format", "json"):
+        "09af30c47c0be3c75b7bbccfc3fea5994b989bb6ec2defefdeb85249295aafa4",
+    ("spectrum", "--j", "0", "--observable", "q", "--format", "json"):
+        "ee849008de20ecbcbf997c3fb4655d16a504d968e1130bda1c67ad03c2112256",
+    ("limits", "--j", "5", "--p", "0.3", "--alpha", "10", "--n", "2"):
+        "70aca05a570f0958fa7d839cbe5bb122512531a58c2e869f5e62f274b0a04bce",
+    ("limits", "--j", "5", "--p", "0.3", "--alpha", "10", "--n", "2", "--format", "json"):
+        "2ff6bba092e80f8f922e826123d893c9bcd8307d124df80afb89e991c3c53c96",
+    ("limits", "--j", "60", "--p", "0.7", "--alpha", "100", "--n", "3"):
+        "bf5889817e120af9e3c6ba00f2c66a5968408af2079f6aac27442e91aa04ab10",
+    ("limits", "--j", "60", "--p", "0.7", "--alpha", "100", "--n", "3", "--format", "json"):
+        "7ea64784d65ee881b66f506333069ecddda1b23ba02e37d53a85ec24348859f2",
+    ("wavefunction", "--j", "0", "--p", "0.3"):
+        "0ce8abd430afc4bca2f6e0350618e868383151c4f3c955d271748447610e7197",
+    ("wavefunction", "--j", "12", "--p", "0.3", "--n", _LEVELS_12):
+        "f3fd49f5f15ede68dbe56629574bcfaebd1b6f7d80a5c655f1e51ccabe952493",
+    ("wavefunction", "--j", "12", "--p", "0.9", "--n", _LEVELS_12, "--format", "json"):
+        "d4628d2ce17c8c0cc46dd336e4058a05499128d8f2bc0789e25ce8826bd1d8d6",
+    ("wavefunction", "--j", "0", "--p", "0.3", "--kind", "momentum", "--format", "json"):
+        "b8caf84988bb4deb684b285f8ab0b55e44c3bb760061112f35a824a573331e74",
+    ("wavefunction", "--j", "12", "--p", "0.3", "--n", _LEVELS_12, "--kind", "momentum",
+     "--format", "json"):
+        "54e16c2cd93f457f48f2ad3698ea05b9505508591e0929ca3df6d112358fa403",
+    ("fourier", "--j", "0", "--p", "0.3", "--method", "spectral", "--format", "json"):
+        "93d036ff343ce934a764665c600c366e9981f1343b97f3a151812f0271d145d2",
+    ("fourier", "--j", "1", "--p", "0.3", "--method", "spectral", "--format", "json"):
+        "f6263527deaa68f9a27dda09471c02c1854807913b0d718851aaa3a431de2308",
+    ("fourier", "--j", "12", "--p", "0.5", "--method", "spectral", "--format", "json"):
+        "a084dfa720f8e835bfc98ab05d4492e41d58def332586867393484468d44aac6",
+    ("fourier", "--j", "12", "--p", "0.9", "--method", "spectral", "--format", "json"):
+        "6c3d36ec96b6ea709b97a8fc194b871b3ff6c71679cd8883fc6ff572a9dc95cc",
+}
+
+
+@pytest.mark.parametrize("argv", list(_OUTPUT_SHA256), ids=[
+    "-".join(arg.lstrip("-") for arg in argv).replace(_LEVELS_12, "all")
+    for argv in _OUTPUT_SHA256])
+def test_output_matches_golden_hash(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == _OUTPUT_SHA256[argv]
 
 
 def test_module_entry_point_prints_what_main_prints(capsys):

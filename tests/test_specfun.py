@@ -186,9 +186,12 @@ def test_shift_table_columns_have_unit_norm(N, p):
 
 
 def test_shift_table_validates_and_is_readonly():
-    for p, N in ((0.5, 0), (0.0, 3), (1.0, 3)):
+    for p, N in ((0.0, 3), (1.0, 3)):
         with pytest.raises(ValueError):
             krawtchouk_shift_table(p, N)
+    # At N = 0 the (p, -1) family is empty.
+    empty = krawtchouk_shift_table(0.5, 0)
+    assert empty.shape == (0, 0) and not empty.flags.writeable
     table = krawtchouk_shift_table(0.25, 12)
     assert table.shape == (12, 12)
     assert not table.flags.writeable

@@ -35,9 +35,9 @@ def test_wave_table_fields():
 
 def test_level_range_is_enforced():
     params = ModelParams(j=2, p=0.5)
-    with pytest.raises(IndexError):
+    with pytest.raises(ValueError, match="need n <= 4, got n=5"):
         position_wavefunction(params, 5)
-    with pytest.raises(IndexError):
+    with pytest.raises(ValueError, match="need n >= 0, got n=-1"):
         position_wavefunction(params, -1)
 
 
