@@ -34,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .oscillator import _INV_SQRT2, ModelParams, _quarter_turns
-from .report import _DEFAULT_TOL, VerificationReport
+from .report import _DEFAULT_TOL, VerificationReport, _largest
 from .specfun import (
     _CACHE_SIZE,
     _finite,
@@ -365,12 +365,6 @@ def fourier_eigensystem_report(
     tol = _finite(tol, "tol", 0)
     return _eigensystem_report(params, tol, fourier_analytic(params),
                                fourier_spectral(params))
-
-
-def _largest(*arrays: np.ndarray) -> float:
-    # The largest |entry| over the arrays, NaN if any entry is NaN; an empty
-    # array (an odd table at j = 0) adds nothing.
-    return float(np.max([np.max(np.abs(a)) for a in arrays if a.size], initial=0.0))
 
 
 def _eigensystem_report(

@@ -192,7 +192,8 @@ def tridiag_eigen(offdiag, diag, tol: float = 1e-9) -> EigenResult:
     ------
     RuntimeError
         If an eigenvalue fails to converge within 30 sweeps, or the
-        verified residual exceeds ``tol``.
+        verified residual or orthonormality defect exceeds ``tol`` or is
+        NaN.
     """
     if not (isfinite(tol) and tol > 0.0):
         raise ValueError(f"need a finite tol > 0, got tol={tol}")
@@ -206,7 +207,7 @@ def tridiag_eigen(offdiag, diag, tol: float = 1e-9) -> EigenResult:
     dense[idx + 1, idx] = off
     residual = float(np.max(np.abs(dense @ vectors - vectors * values[None, :])))
     defect = float(np.max(np.abs(vectors.T @ vectors - np.eye(m))))
-    if residual > tol or defect > tol:
+    if not (residual <= tol and defect <= tol):
         raise RuntimeError(f"result outside tolerance: residual={residual:.3e} "
                            f"orthonormality defect={defect:.3e} tol={tol:.1e}")
     return EigenResult(values, vectors, iterations, residual)
@@ -236,7 +237,7 @@ def hermitian_tridiag_eigen(matrix, tol: float = 1e-9) -> EigenResult:
     one with the same spectrum (|off-diagonals|, real diagonal); the real
     problem goes through :func:`tridiag_eigen` and the eigenvectors are
     re-phased. The reported residual is measured against the original
-    complex matrix.
+    complex matrix; a residual above ``tol``, or NaN, raises RuntimeError.
     """
     mat, upper, diag = _real_band(matrix)
     m = mat.shape[0]
@@ -247,7 +248,7 @@ def hermitian_tridiag_eigen(matrix, tol: float = 1e-9) -> EigenResult:
     base = tridiag_eigen(np.abs(upper), diag, tol=tol)
     vectors = phases[:, None] * base.eigenvectors
     residual = float(np.max(np.abs(mat @ vectors - vectors * base.eigenvalues[None, :])))
-    if residual > tol:
+    if not residual <= tol:
         raise RuntimeError(f"re-phased residual {residual:.3e} exceeds tol {tol:.1e}")
     return EigenResult(base.eigenvalues, vectors, base.iterations, residual)
 

@@ -4,11 +4,27 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 __all__ = ["CheckResult", "VerificationReport"]
 
 # Base tolerance of the matrix-residual checks of `verify`, `run_suite` and
 # `fourier_eigensystem_report`.
 _DEFAULT_TOL = 1e-10
+
+
+def _largest(*arrays: np.ndarray) -> float:
+    # The largest |entry| over the arrays, the residual of every check; an
+    # empty array (an odd table at j = 0) adds nothing. A NaN entry makes it
+    # NaN for good, as nothing compares greater than NaN (Python's max drops
+    # a NaN that does not come first).
+    largest = 0.0
+    for a in arrays:
+        if a.size:
+            entry = float(np.abs(a).max())
+            if entry > largest or entry != entry:
+                largest = entry
+    return largest
 
 
 @dataclass(frozen=True)
@@ -48,7 +64,8 @@ class VerificationReport:
 
     @property
     def max_residual(self) -> float:
-        return max((check.residual for check in self.checks), default=0.0)
+        """The largest residual, 0.0 with no checks; NaN if any residual is NaN."""
+        return _largest(np.array([check.residual for check in self.checks]))
 
     def failures(self) -> list[CheckResult]:
         return [check for check in self.checks if not check.passed]

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .report import VerificationReport
+from .report import VerificationReport, _largest
 from .specfun import _finite, _integer
 
 __all__ = [
@@ -171,8 +171,7 @@ def verify_superalgebra(j: int, tol: float = 1e-12) -> VerificationReport:
                                generator_parity(left), generator_parity(right))
         expected = sum((coeff * mats[g] for g, coeff in rhs.items()),
                        np.zeros_like(bracket))
-        residual = float(np.max(np.abs(bracket - expected)))
-        report.add(f"j={j} {label}", residual, tol)
+        report.add(f"j={j} {label}", _largest(bracket - expected), tol)
     return report
 
 
@@ -182,6 +181,5 @@ def verify_star(j: int, tol: float = 1e-12) -> VerificationReport:
     mats = {name: generator_matrix(name, j) for name in GENERATORS}
     report = VerificationReport()
     for label, name, (partner, coeff) in _STAR_CONDITIONS:
-        residual = float(np.max(np.abs(mats[name].T - coeff * mats[partner])))
-        report.add(f"j={j} {label}", residual, tol)
+        report.add(f"j={j} {label}", _largest(mats[name].T - coeff * mats[partner]), tol)
     return report

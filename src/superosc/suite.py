@@ -40,7 +40,7 @@ from .oscillator import (
     position_spectrum,
     sign_variant,
 )
-from .report import _DEFAULT_TOL, VerificationReport
+from .report import _DEFAULT_TOL, VerificationReport, _largest
 from .specfun import (
     _finite,
     _hyp2f1_rational,
@@ -79,84 +79,76 @@ def _sweep_checks(report: VerificationReport, j: int, p: float, tol: float) -> N
                  - math.sqrt(1 - p) * representation.generator_matrix("F-", j)
                  - math.sqrt(p) * representation.generator_matrix("G-", j))
     report.add(f"{label} position assembly consistency",
-               float(np.max(np.abs(mq - assembled))), 1e-12)
+               _largest(mq - assembled), 1e-12)
 
     report.add(f"{label} position eigen-equation",
-               float(np.max(np.abs(mq @ u - u * spectrum[None, :]))), tol)
+               _largest(mq @ u - u * spectrum[None, :]), tol)
     report.add(f"{label} position eigenvectors orthogonal",
-               float(np.max(np.abs(u.T @ u - identity))), tol)
+               _largest(u.T @ u - identity), tol)
 
     report.add(f"{label} momentum eigen-equation (conjugated)",
-               float(np.max(np.abs(mp @ v.conj() - v.conj() * spectrum[None, :]))), tol)
+               _largest(mp @ v.conj() - v.conj() * spectrum[None, :]), tol)
     report.add(f"{label} momentum eigenvectors unitary",
-               float(np.max(np.abs(v.conj().T @ v - identity))), tol)
+               _largest(v.conj().T @ v - identity), tol)
     transform, spectral = fourier_analytic(params), fourier_spectral(params)
     report.add(f"{label} V = U F",
-               float(np.max(np.abs(v - apply_fourier(u, transform)))), tol)
+               _largest(v - apply_fourier(u, transform)), tol)
     report.add(f"{label} V^T V anti-diagonal",
-               float(np.max(np.abs(v.T @ v + np.eye(dim)[::-1]))), tol)
+               _largest(v.T @ v + np.eye(dim)[::-1]), tol)
 
     # H is diagonal: H A - A H scales A's rows and columns by its diagonal.
     h = np.diagonal(hamiltonian_matrix(j))
     report.add(f"{label} Heisenberg position equation",
-               float(np.max(np.abs(h[:, None] * mq - mq * h[None, :] + 1j * mp))), tol)
+               _largest(h[:, None] * mq - mq * h[None, :] + 1j * mp), tol)
     report.add(f"{label} Heisenberg momentum equation",
-               float(np.max(np.abs(h[:, None] * mp - mp * h[None, :] - 1j * mq))), tol)
+               _largest(h[:, None] * mp - mp * h[None, :] - 1j * mq), tol)
 
     variant, u_variant = sign_variant(params)
     report.add(f"{label} sign variant eigen-equation",
-               float(np.max(np.abs(variant.dense() @ u_variant
-                                   - u_variant * spectrum[None, :]))), tol)
+               _largest(variant.dense() @ u_variant - u_variant * spectrum[None, :]), tol)
 
     fourier_report, _ = _eigensystem_report(params, tol, transform, spectral)
     report.extend(fourier_report)
 
     table = krawtchouk_table(p, j)
     report.add(f"{label} Krawtchouk table orthogonal",
-               float(np.max(np.abs(table @ table.T - np.eye(j + 1)))), tol)
+               _largest(table @ table.T - np.eye(j + 1)), tol)
     # U's odd rows read the forward shift of the (p, j) eigenvectors; the
     # eigensolved (p, j-1) table is the independent route.
     report.add(f"{label} odd-row table: forward shift vs eigensolved (p, j-1)",
-               float(np.max(np.abs(krawtchouk_shift_table(p, j)
-                                   - krawtchouk_table(p, j - 1)))), tol)
+               _largest(krawtchouk_shift_table(p, j) - krawtchouk_table(p, j - 1)), tol)
 
     report.add(f"{label} wave function normalization",
-               float(np.max(np.abs(np.sum(u * u, axis=1) - 1.0))), 1e-12)
+               _largest(np.sum(u * u, axis=1) - 1.0), 1e-12)
     # Even rows are mirror-symmetric, odd rows antisymmetric.
     report.add(f"{label} wave function parity",
-               float(max(np.max(np.abs(u[0::2] - u[0::2, ::-1])),
-                         np.max(np.abs(u[1::2] + u[1::2, ::-1])))), 0.0)
+               _largest(u[0::2] - u[0::2, ::-1], u[1::2] + u[1::2, ::-1]), 0.0)
 
     if j <= _CLOSED_ROUTE_J_CAP:
-        closed_dev = 0.0
-        node_misses = 0
-        for level in range(dim):
-            closed = position_wavefunction_closed(params, level)
-            closed_dev = max(closed_dev, float(np.max(np.abs(closed - u[level, :]))))
-            if node_count(params, level) != level:
-                node_misses += 1
-        report.add(f"{label} closed-form route agreement", closed_dev, tol)
+        closed = np.array([position_wavefunction_closed(params, level) for level in range(dim)])
+        node_misses = sum(node_count(params, level) != level for level in range(dim))
+        report.add(f"{label} closed-form route agreement", _largest(closed - u), tol)
         report.add(f"{label} node counts", float(node_misses), 0.0)
         # The overlaps fourier_analytic reads, against the exact integer
         # route: both the (p, j) and the (p, j-1) table.
-        overlap_dev = max(float(np.max(np.abs(table - _S_table(p, degree))))
-                          for table, degree in ((transform.even, j), (transform.odd, j - 1)))
-        report.add(f"{label} S exact vs Krawtchouk(4p(1-p))", overlap_dev, tol)
+        report.add(f"{label} S exact vs Krawtchouk(4p(1-p))",
+                   _largest(transform.even - _S_table(p, j), transform.odd - _S_table(p, j - 1)),
+                   tol)
         # The spectral route's dense matrix against U^T J U = U^T V formed
         # densely: route agreement cannot see a fault in the layout both
         # routes share.
         report.add(f"{label} spectral transform = U^T J U",
-                   float(np.max(np.abs(spectral.data - u.T @ v))), tol)
+                   _largest(spectral.data - u.T @ v), tol)
 
     oracle_q = tridiag_eigen(band.offdiag, np.zeros(dim))
     report.add(f"{label} oracle position eigenvalues",
-               float(np.max(np.abs(oracle_q.eigenvalues - spectrum))), 1e-9)
+               _largest(oracle_q.eigenvalues - spectrum), 1e-9)
     aligned = oracle_q.eigenvectors * np.where(
         np.sum(oracle_q.eigenvectors * u, axis=0) < 0, -1.0, 1.0)[None, :]
     report.add(f"{label} oracle eigenvectors vs analytic",
-               float(np.max(np.abs(aligned - u))), 1e-8)
+               _largest(aligned - u), 1e-8)
     report.add(f"{label} oracle momentum eigenvalues",
-               float(np.max(np.abs(hermitian_tridiag_eigenvalues(mp) - spectrum))), 1e-9)
+               _largest(hermitian_tridiag_eigenvalues(mp) - spectrum), 1e-9)
 
 
 def _shift_misses(a: int, b: int, j: int, second: bool) -> int:
@@ -200,17 +192,17 @@ def _fixed_checks(report: VerificationReport, tol: float) -> None:
         toward_zero = limit_U(j, "toward-zero")
         # analytic_U approaches the limit at rate sqrt(p): 1e-6 sqrt(j) here.
         report.add(f"j={j} p->0 limit convergence (p=1e-12)",
-                   float(np.max(np.abs(analytic_U(ModelParams(j, 1e-12)) - toward_zero))),
+                   _largest(analytic_U(ModelParams(j, 1e-12)) - toward_zero),
                    1e-5)
         report.add(f"j={j} p->0 limit orthogonal",
-                   float(np.max(np.abs(toward_zero.T @ toward_zero - np.eye(2 * j + 1)))),
+                   _largest(toward_zero.T @ toward_zero - np.eye(2 * j + 1)),
                    1e-12)
         toward_one = limit_U(j, "toward-one")
         report.add(f"j={j} p->1 limit convergence (p=1-1e-12)",
-                   float(np.max(np.abs(analytic_U(ModelParams(j, 1 - 1e-12)) - toward_one))),
+                   _largest(analytic_U(ModelParams(j, 1 - 1e-12)) - toward_one),
                    1e-5)
         report.add(f"j={j} p->1 limit orthogonal",
-                   float(np.max(np.abs(toward_one.T @ toward_one - np.eye(2 * j + 1)))),
+                   _largest(toward_one.T @ toward_one - np.eye(2 * j + 1)),
                    1e-12)
 
     exact_misses = sum(_shift_misses(a, b, j, second=True)
@@ -224,22 +216,18 @@ def _fixed_checks(report: VerificationReport, tol: float) -> None:
     for gamma, delta in ((0.5, 0.5), (3.0, 7.0)):
         table = dual_hahn_table(gamma, delta, 40)
         report.add(f"dual Hahn table orthogonal (gamma={gamma}, delta={delta}, N=40)",
-                   float(np.max(np.abs(table @ table.T - np.eye(41)))), tol)
+                   _largest(table @ table.T - np.eye(41)), tol)
 
     alpha, j_limit, p_half = 1e6, 20, 0.5
     gamma, delta = 2 * p_half * alpha, 2 * (1 - p_half) * alpha
-    gap = float(np.max(np.abs(dual_hahn_table(gamma, delta, j_limit)
-                              - krawtchouk_table(p_half, j_limit))))
+    gap = _largest(dual_hahn_table(gamma, delta, j_limit) - krawtchouk_table(p_half, j_limit))
     report.add("large-alpha dual Hahn -> Krawtchouk (alpha=1e6, j=20)", gap, 1e-4)
 
     alpha = 10.0
     errors = []
     for j_big in (200, 400):
-        worst = 0.0
-        for n in (0, 1, 2):
-            rows = paraboson_limit_table(j_big, 0.5, alpha, n, 15)
-            worst = max(worst, float(np.max(np.abs(rows[:, 1] - rows[:, 2]))))
-        errors.append(worst)
+        tables = [paraboson_limit_table(j_big, 0.5, alpha, n, 15) for n in (0, 1, 2)]
+        errors.append(_largest(*(rows[:, 1] - rows[:, 2] for rows in tables)))
     report.add("paraboson comparison error decreases (j=200 -> 400)",
                0.0 if errors[1] < errors[0] else 1.0, 0.0)
 

@@ -48,6 +48,12 @@ from superosc.wavefunctions import paraboson_limit_table
 P_SWEEP = (0.1, 0.3, 0.5, 0.7, 0.9)
 
 
+def _worst(*residuals):
+    # The largest residual, NaN if any is NaN. Python's max drops a NaN that
+    # is not first, so a NaN residual would read as the previous worst.
+    return float(np.max(residuals))
+
+
 def _spectrum_residual(eigenvalues, j):
     return float(np.max(np.abs(eigenvalues - position_spectrum(j))))
 
@@ -60,9 +66,9 @@ def test_criterion_1_oracle_spectra_match_sqrt_grid():
         for p in P_SWEEP:
             params = ModelParams(j=j, p=p)
             oracle_q = tridiag_eigen(position_matrix(params).offdiag, np.zeros(dim))
-            worst = max(worst, _spectrum_residual(oracle_q.eigenvalues, j))
+            worst = _worst(worst, _spectrum_residual(oracle_q.eigenvalues, j))
             oracle_p = hermitian_tridiag_eigenvalues(momentum_matrix(params))
-            worst = max(worst, _spectrum_residual(oracle_p, j))
+            worst = _worst(worst, _spectrum_residual(oracle_p, j))
     elapsed = time.perf_counter() - t0
     print(f"criterion 1: eigenvalue residual {worst:.3e} (tol 1e-9), {elapsed:.2f}s")
     assert worst <= 1e-9
@@ -79,8 +85,8 @@ def test_criterion_2_position_eigensystem_to_j60():
             params = ModelParams(j=j, p=p)
             mq = position_matrix(params).dense()
             u = analytic_U(params)
-            worst_eig = max(worst_eig, float(np.abs(mq @ u - u * d[None, :]).max()))
-            worst_orth = max(worst_orth, float(np.abs(u.T @ u - eye).max()))
+            worst_eig = _worst(worst_eig, float(np.abs(mq @ u - u * d[None, :]).max()))
+            worst_orth = _worst(worst_orth, float(np.abs(u.T @ u - eye).max()))
     elapsed = time.perf_counter() - t0
     print(f"criterion 2: eigen-equation {worst_eig:.3e}, orthogonality "
           f"{worst_orth:.3e} (tol 1e-10), {elapsed:.2f}s")
@@ -104,14 +110,14 @@ def test_criterion_3_momentum_eigensystem():
             u = analytic_U(params)
             v = analytic_V(params)
             vc = v.conj()
-            worst["eigen-equation (conjugated)"] = max(
+            worst["eigen-equation (conjugated)"] = _worst(
                 worst["eigen-equation (conjugated)"],
                 float(np.abs(mp @ vc - vc * d[None, :]).max()))
-            worst["unitarity"] = max(
+            worst["unitarity"] = _worst(
                 worst["unitarity"], float(np.abs(v.conj().T @ v - eye).max()))
-            worst["V = JU"] = max(
+            worst["V = JU"] = _worst(
                 worst["V = JU"], float(np.abs(v - J_matrix(j) @ u).max()))
-            worst["antidiagonal"] = max(
+            worst["antidiagonal"] = _worst(
                 worst["antidiagonal"], float(np.abs(v.T @ v - anti).max()))
     print("criterion 3 (tol 1e-10): "
           + ", ".join(f"{k} {v:.3e}" for k, v in worst.items()))
@@ -127,12 +133,12 @@ def test_criterion_4_fourier_matrix_properties():
             params = ModelParams(j=j, p=p)
             analytic = np.asarray(fourier_analytic(params))
             spectral = np.asarray(fourier_spectral(params))
-            worst = max(worst, float(np.abs(analytic - spectral).max()))
+            worst = _worst(worst, float(np.abs(analytic - spectral).max()))
             for f in (analytic, spectral):
-                worst = max(worst, float(np.abs(f - f.T).max()))
-                worst = max(worst, float(np.abs(f.conj().T @ f - eye).max()))
+                worst = _worst(worst, float(np.abs(f - f.T).max()))
+                worst = _worst(worst, float(np.abs(f.conj().T @ f - eye).max()))
                 f2 = f @ f
-                worst = max(worst, float(np.abs(f2 @ f2 - eye).max()))
+                worst = _worst(worst, float(np.abs(f2 @ f2 - eye).max()))
         eigs = np.linalg.eigvals(np.asarray(fourier_analytic(ModelParams(j=j, p=0.3))))
         counts = tuple(int(np.sum(np.abs(eigs - root) < 1e-6))
                        for root in (-1j, 1.0, 1j, -1.0))
@@ -166,7 +172,7 @@ def test_criterion_6_superalgebra_and_heisenberg():
         assert report.passed, report.failures()
         star = verify_star(j, tol=1e-12)
         assert star.passed, star.failures()
-        worst_algebra = max(worst_algebra, report.max_residual, star.max_residual)
+        worst_algebra = _worst(worst_algebra, report.max_residual, star.max_residual)
     worst_heisenberg = 0.0
     for j in range(11):
         h = hamiltonian_matrix(j)
@@ -174,7 +180,7 @@ def test_criterion_6_superalgebra_and_heisenberg():
             params = ModelParams(j=j, p=p)
             mq = position_matrix(params).dense()
             mp = momentum_matrix(params)
-            worst_heisenberg = max(
+            worst_heisenberg = _worst(
                 worst_heisenberg,
                 float(np.abs(h @ mq - mq @ h + 1j * mp).max()),
                 float(np.abs(h @ mp - mp @ h - 1j * mq).max()),
@@ -191,7 +197,7 @@ def test_criterion_7_wavefunction_properties():
         for p in (0.3, 0.5, 0.7):
             params = ModelParams(j=j, p=p)
             u = analytic_U(params)
-            worst_norm = max(
+            worst_norm = _worst(
                 worst_norm, float(np.abs(np.sum(u * u, axis=1) - 1.0).max()))
             for level in range(2 * j + 1):
                 row = u[level, :]
@@ -199,7 +205,7 @@ def test_criterion_7_wavefunction_properties():
                 assert np.array_equal(row, mirrored), f"parity off at j={j}"
             for level in range(2 * j + 1):
                 closed = position_wavefunction_closed(params, level)
-                worst_closed = max(
+                worst_closed = _worst(
                     worst_closed, float(np.abs(closed - u[level, :]).max()))
                 assert node_count(params, level) == level
     print(f"criterion 7: normalization {worst_norm:.3e} (tol 1e-12), "
@@ -211,16 +217,16 @@ def test_criterion_7_wavefunction_properties():
 def test_criterion_8_limits(tmp_path):
     alpha, j, p = 1e6, 20, 0.5
     gamma, delta = 2 * p * alpha, 2 * (1 - p) * alpha
-    gap = max(
+    gap = _worst(*(
         abs(dual_hahn_table(gamma, delta, j)[n, k] - krawtchouk_normalized(n, k, p, j))
         for n in range(j + 1) for k in range(j + 1)
-    )
+    ))
     errors = []
     for j_big in (200, 400):
         worst = 0.0
         for n in (0, 1, 2):
             rows = paraboson_limit_table(j_big, 0.5, 10.0, n, 15)
-            worst = max(worst, float(np.abs(rows[:, 1] - rows[:, 2]).max()))
+            worst = _worst(worst, float(np.abs(rows[:, 1] - rows[:, 2]).max()))
         errors.append(worst)
 
     # emitted figure-data tables, spot-checked for parity, a nodeless ground
@@ -258,8 +264,8 @@ def test_criterion_9_endpoint_limit_pattern():
             expected[2 * n + 1, j - (n + 1)] = -inv2
             expected[2 * n + 1, j + (n + 1)] = inv2
         u0 = limit_U(j, "toward-zero")
-        worst_pattern = max(worst_pattern, float(np.abs(u0 - expected).max()))
-        worst_orth = max(worst_orth, float(np.abs(u0.T @ u0 - np.eye(dim)).max()))
+        worst_pattern = _worst(worst_pattern, float(np.abs(u0 - expected).max()))
+        worst_orth = _worst(worst_orth, float(np.abs(u0.T @ u0 - np.eye(dim)).max()))
     print(f"criterion 9: pattern residual {worst_pattern:.3e}, orthogonality "
           f"{worst_orth:.3e} (tol 1e-12)")
     assert worst_pattern <= 1e-12

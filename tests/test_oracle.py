@@ -65,6 +65,36 @@ def test_result_carries_residual_and_iterations():
     assert np.abs(x.T @ x - np.eye(4)).max() <= 1e-9
 
 
+# A NaN compares false with tol, so a guard written `residual > tol` lets a
+# NaN residual through; each guard must raise on one.
+def test_nan_residual_raises(monkeypatch):
+    product = oracle._sweep_product
+
+    def one_nan(rotations, alternating):
+        block = product(rotations, alternating).copy()
+        block[0, 0] = np.nan
+        return block
+
+    monkeypatch.setattr(oracle, "_sweep_product", one_nan)
+    with pytest.raises(RuntimeError):
+        tridiag_eigen([1.0, 2.0, 0.5], [0.0, 0.3, 0.1, 0.0])
+
+
+def test_nan_rephased_residual_raises(monkeypatch):
+    solve = oracle.tridiag_eigen
+
+    def one_nan(offdiag, diag, tol):
+        base = solve(offdiag, diag, tol=tol)
+        vectors = base.eigenvectors.copy()
+        vectors[0, 0] = np.nan
+        return oracle.EigenResult(base.eigenvalues, vectors, base.iterations, base.residual)
+
+    monkeypatch.setattr(oracle, "tridiag_eigen", one_nan)
+    off = np.array([1.0, 2.0j, 0.5])
+    with pytest.raises(RuntimeError):
+        hermitian_tridiag_eigen(np.diag(off, 1) + np.diag(off.conj(), -1))
+
+
 def _rotations_one_at_a_time(cosines, sines):
     # the per-rotation column update that the block product replaces
     q = np.eye(len(cosines) + 1)
