@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superosc import (
+    GENERATORS,
     J_matrix,
     ModelParams,
     SymTridiagonal,
@@ -17,6 +19,7 @@ from superosc import (
     momentum_matrix,
     position_matrix,
     position_spectrum,
+    position_wavefunction,
     sign_variant,
 )
 from superosc import oscillator, specfun
@@ -374,3 +377,38 @@ def test_analytic_U_reflects_under_p_to_one_minus_p(j, p):
 def test_limit_rejects_unknown_side():
     with pytest.raises(ValueError):
         limit_U(2, "sideways")
+
+
+# sha256 of every array a family of builders returns, in order, each as its
+# dtype, shape and bytes: for j = 0..12 and, where p enters, the five p below.
+# The same at one and two BLAS threads; any change of any bit (the sign of
+# a zero included) changes the digest.
+_PIN_P = (0.1, 0.3, 0.5, 0.9, 1e-12)
+_PINNED_ARRAYS = {
+    "generator_matrix": (
+        lambda: (generator_matrix(name, j) for j in range(13) for name in GENERATORS),
+        "75116ac3072961e97bdbf16625045e16381d41065a19869516e8b75bff38daf1"),
+    "analytic_U": (
+        lambda: (analytic_U(ModelParams(j, p)) for p in _PIN_P for j in range(13)),
+        "34a175d3e436b1a39bf65229a9e2f1bb5c7c4f5172af64a210e8f8d56daf0909"),
+    "analytic_V": (
+        lambda: (analytic_V(ModelParams(j, p)) for p in _PIN_P for j in range(13)),
+        "143e6863c6fddc95bc3b6f02c4a947be66259a9eff2b43ba39b96aefa0388da3"),
+    "limit_U": (
+        lambda: (limit_U(j, side) for j in range(13) for side in ("toward-zero", "toward-one")),
+        "571bd5be8cb90268af64fdbb671bec4346eb20d3d1ab35c52e60bfdda65fbdfd"),
+    "position_wavefunction": (
+        lambda: (position_wavefunction(ModelParams(j, p), n).amplitudes
+                 for p in _PIN_P for j in range(13) for n in range(2 * j + 1)),
+        "26cee9a1d717df04e655cff01835999e8a3c0f17a416c825ce85199df5df5d3c"),
+}
+
+
+@pytest.mark.parametrize("build, digest", _PINNED_ARRAYS.values(), ids=_PINNED_ARRAYS.keys())
+def test_arrays_pinned_by_sha256(build, digest):
+    sha = hashlib.sha256()
+    for array in build():
+        array = np.ascontiguousarray(array)
+        sha.update(f"{array.dtype.str}{array.shape}".encode())
+        sha.update(array.tobytes())
+    assert sha.hexdigest() == digest
