@@ -10,20 +10,22 @@ thread count and, for ``verify``, a fixed SUPEROSC_TOL: the number of BLAS
 threads can move the last bits of large outputs (``fourier --method
 spectral`` from j = 150, ``wavefunction`` at j = 1000, ``limits`` at
 j = 2000). Floats are printed with 17 significant digits (round-trip
-safe); complex values become [re, im] pairs in JSON and paired columns in
-CSV. Exit codes: 0 success, 1 verification failure, 2 usage error, 3
-domain error or an --output that cannot be written. For ``verify``, the
-environment variable SUPEROSC_TOL overrides the default check tolerance;
-an explicit --tol flag wins over both. Either must be finite and positive.
-Each command refuses, before it allocates anything, a j whose estimated
-peak memory is over 2 GiB.
+safe), nan and inf as null in JSON; complex values become [re, im] pairs
+in JSON and paired columns in CSV. Exit codes: 0 success, 1 verification
+failure, 2 usage error, 3 domain error or an --output that cannot be
+written. For ``verify``, the environment variable SUPEROSC_TOL overrides
+the default check tolerance; an explicit --tol flag wins over both. Either
+must be finite and positive. Each command refuses, before it allocates
+anything, a j whose estimated peak memory is over 2 GiB.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -110,6 +112,11 @@ def _fmt_array(array: np.ndarray) -> np.ndarray:
     return texts[inverse.ravel()].reshape(floats.shape)
 
 
+def _nulls(text: str, array: np.ndarray) -> str:
+    # JSON has no nan or inf: they print as null (no finite %.17g has n or i).
+    return text if np.isfinite(array).all() else re.sub(r"-?(?:nan|inf)", "null", text)
+
+
 def _json(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -118,16 +125,16 @@ def _json(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        return _fmt(value)
+        return _fmt(value) if math.isfinite(value) else "null"
     if isinstance(value, dict):
         return "{" + ",".join(f"{_json(str(k))}:{_json(v)}" for k, v in value.items()) + "}"
     if isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype.kind in "fc":
         item = "[%.17g,%.17g]" if value.dtype.kind == "c" else "%.17g"
-        return "[" + _fmt_seq(_floats(value), item=item) + "]"
+        return _nulls("[" + _fmt_seq(_floats(value), item=item) + "]", value)
     if isinstance(value, np.ndarray) and value.ndim == 2 and value.dtype.kind in "fc":
         item = "[%s,%s]" if value.dtype.kind == "c" else "%s"
-        return "[" + ",".join("[" + _fmt_seq(row, item=item) + "]"
-                              for row in _fmt_array(value)) + "]"
+        return _nulls("[" + ",".join("[" + _fmt_seq(row, item=item) + "]"
+                                     for row in _fmt_array(value)) + "]", value)
     if isinstance(value, (list, tuple, np.ndarray)):
         return "[" + ",".join(_json(v) for v in value) + "]"
     raise TypeError(f"cannot serialize {type(value)!r}")

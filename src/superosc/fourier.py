@@ -279,7 +279,9 @@ def apply_fourier(phi_stack: np.ndarray, transform: FourierMatrix) -> np.ndarray
     the full eigenvector matrix as the stack this realizes V = U F. F is
     applied from its two real overlap tables with the coefficients and the
     mirror fold of its dense layout, two real products of (j+1)^2 and j^2
-    per row, and the dense matrix is not read.
+    per row, and the dense matrix is not read. On the identity the rows
+    equal ``data``'s in value but not in the sign of zero: some +0.0 of
+    ``data`` come out as -0.0.
     """
     if not isinstance(transform, FourierMatrix):
         raise ValueError(f"need a FourierMatrix transform, got {type(transform).__name__}")
@@ -342,11 +344,7 @@ def fourier_analytic(params: ModelParams) -> FourierMatrix:
 def expected_multiplicities(j: int) -> EigenvalueMultiplicity:
     """Parity rule: j = 2n gives (n+1, n, n, n); j = 2n+1 gives (n+1, n+1, n+1, n)."""
     j = _integer(j, "j")
-    if j % 2 == 0:
-        n = j // 2
-        return EigenvalueMultiplicity(n + 1, n, n, n)
-    n = (j - 1) // 2
-    return EigenvalueMultiplicity(n + 1, n + 1, n + 1, n)
+    return EigenvalueMultiplicity(j // 2 + 1, (j + 1) // 2, (j + 1) // 2, j // 2)
 
 
 def fourier_eigensystem_report(

@@ -125,29 +125,18 @@ def position_spectrum(j: int) -> np.ndarray:
     return np.concatenate((-root[:0:-1], root))
 
 
-def _fill_even(table: np.ndarray, lo: int, out: np.ndarray) -> None:
-    # Rows 2n of a U-layout matrix, n = lo, lo+1, ..., as many as out holds,
-    # from the (j+1)x(j+1) table; every entry is written. Row 2n at column
-    # j+k is (-1)^n T_k(n)/sqrt(2), the center unhalved, and column j-k
-    # mirrors column j+k. Each row reads column n of the table as a view,
-    # and its sign comes from the absolute n.
+def _fill_rows(table: np.ndarray, lo: int, out: np.ndarray, odd: int) -> None:
+    # Rows 2n + odd of a U-layout matrix, n = lo, lo+1, ..., as many as out
+    # holds, each from column n of the (j+1-odd)-square table, read as a view.
+    # Every entry is written: column j+k is (-1)^n T_{k-odd}(n)/sqrt(2), with
+    # the sign from the absolute n, column j-k is (-1)^odd times it, and the
+    # center is T_0(n) unhalved on even rows and zero on odd ones.
     j = out.shape[1] // 2
     cols = table[:, lo:lo + len(out)]
-    out[:, j] = cols[0]
-    np.multiply(cols[1:].T, _INV_SQRT2, out=out[:, j + 1:])
-    out[(lo + 1) % 2::2, j:] *= -1.0
-    out[:, :j] = out[:, :j:-1]
-
-
-def _fill_odd(table: np.ndarray, lo: int, out: np.ndarray) -> None:
-    # Rows 2n+1 likewise, from the j x j table: column j+k is
-    # (-1)^n T_{k-1}(n)/sqrt(2), column j-k its negative, the center zero.
-    j = out.shape[1] // 2
-    cols = table[:, lo:lo + len(out)]
-    np.multiply(cols.T, _INV_SQRT2, out=out[:, j + 1:])
-    out[(lo + 1) % 2::2, j + 1:] *= -1.0
-    out[:, j] = 0.0
-    np.negative(out[:, :j:-1], out=out[:, :j])
+    out[:, j] = 0.0 if odd else cols[0]
+    np.multiply(cols[1 - odd:].T, _INV_SQRT2, out=out[:, j + 1:])
+    out[(lo + 1) % 2::2, j + odd:] *= -1.0
+    np.multiply(out[:, :j:-1], (-1.0) ** odd, out=out[:, :j])
 
 
 def analytic_U(params: ModelParams) -> np.ndarray:
@@ -166,18 +155,16 @@ def analytic_U(params: ModelParams) -> np.ndarray:
     """
     p, j = params.p, params.j
     mat = np.empty((params.dim, params.dim))
-    _fill_even(krawtchouk_table(p, j), 0, mat[0::2])
-    _fill_odd(krawtchouk_shift_table(p, j), 0, mat[1::2])
+    _fill_rows(krawtchouk_table(p, j), 0, mat[0::2], 0)
+    _fill_rows(krawtchouk_shift_table(p, j), 0, mat[1::2], 1)
     return mat
 
 
 def _level_row(params: ModelParams, n: int) -> np.ndarray:
     # Row n of analytic_U alone, read from one column of one cached table.
     row = np.empty((1, params.dim))
-    if n % 2:
-        _fill_odd(krawtchouk_shift_table(params.p, params.j), n // 2, row)
-    else:
-        _fill_even(krawtchouk_table(params.p, params.j), n // 2, row)
+    table = (krawtchouk_shift_table if n % 2 else krawtchouk_table)(params.p, params.j)
+    _fill_rows(table, n // 2, row, n % 2)
     return row[0]
 
 
@@ -244,6 +231,6 @@ def limit_U(j: int, side: str) -> np.ndarray:
     else:
         raise ValueError(f"side must be 'toward-zero' or 'toward-one', got {side!r}")
     mat = np.empty((2 * j + 1, 2 * j + 1))
-    _fill_even(even, 0, mat[0::2])
-    _fill_odd(odd, 0, mat[1::2])
+    _fill_rows(even, 0, mat[0::2], 0)
+    _fill_rows(odd, 0, mat[1::2], 1)
     return mat

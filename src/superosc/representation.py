@@ -63,32 +63,27 @@ def generator_matrix(name: str, j: int) -> np.ndarray:
     j = _integer(j, "j")
     dim = 2 * j + 1
     mat = np.zeros((dim, dim))
+    sign = 1.0 if name.endswith("+") else -1.0  # of the ladders F+-, G+- and E+-
     for col in range(dim):
         m = j - col
         even, odd = parity(j - m)
         if name == "H":
             mat[col, col] = m / 2.0
         elif name == "Z":
-            mat[col, col] = -even * (j / 2.0) - odd * ((j + 1) / 2.0)
+            mat[col, col] = -((j + odd) / 2.0)
         elif name in ("F+", "F-"):
-            sign = 1.0 if name == "F+" else -1.0
             m_out = m + 1 if name == "F+" else m - 1
             if odd and -j <= m_out <= j:
                 mat[j - m_out, col] = sign * math.sqrt((j + sign * m + 1) / 2.0)
         elif name in ("G+", "G-"):
-            sign = 1.0 if name == "G+" else -1.0
             m_out = m + 1 if name == "G+" else m - 1
             if even and -j <= m_out <= j:
                 mat[j - m_out, col] = sign * math.sqrt((j - sign * m) / 2.0)
         else:  # E+ or E-
-            sign = 1.0 if name == "E+" else -1.0
             m_out = m + 2 if name == "E+" else m - 2
             if -j <= m_out <= j:
-                if even:
-                    coeff = 0.5 * math.sqrt((j - sign * m) * (j + sign * m + 2))
-                else:
-                    coeff = 0.5 * math.sqrt((j - sign * m - 1) * (j + sign * m + 1))
-                mat[j - m_out, col] = coeff
+                mat[j - m_out, col] = 0.5 * math.sqrt((j - sign * m - odd)
+                                                      * (j + sign * m + 2 - odd))
     return mat
 
 

@@ -423,6 +423,10 @@ _EDGE_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
                 2.2250738585072014e-308 / 3, 1.7976931348623157e308, 1.0, 0.1, -0.1]
 
 
+def _json_fmt(value):
+    return _fmt(value) if math.isfinite(value) else "null"
+
+
 def test_bulk_formatter_equals_per_value_fmt():
     values = np.array(_EDGE_FLOATS)
     expected = ",".join(_fmt(v) for v in values)
@@ -435,9 +439,10 @@ def test_bulk_formatter_equals_per_value_fmt():
     pairs = np.array([complex(re, im) for re in _EDGE_FLOATS for im in _EDGE_FLOATS[::-1]])
     assert _fmt_seq(_floats(pairs)) == ",".join(
         f"{_fmt(v.real)},{_fmt(v.imag)}" for v in pairs)
+    # JSON writes each non-finite float as null.
     assert _json(pairs) == "[" + ",".join(
-        f"[{_fmt(v.real)},{_fmt(v.imag)}]" for v in pairs) + "]"
-    assert _json(values) == "[" + expected + "]"
+        f"[{_json_fmt(v.real)},{_json_fmt(v.imag)}]" for v in pairs) + "]"
+    assert _json(values) == "[" + ",".join(_json_fmt(v) for v in values) + "]"
     # A strided view reads the same values as its contiguous copy.
     assert _json(np.vstack([pairs, pairs]).T[0]) == _json(pairs[:1].repeat(2))
 
@@ -457,10 +462,10 @@ def test_bulk_formatter_equals_per_value_fmt():
     assert _fmt_array(matrix).tolist() == [
         [text for v in row for text in (_fmt(v.real), _fmt(v.imag))] for row in matrix]
     assert _json(matrix) == "[" + ",".join(
-        "[" + ",".join(f"[{_fmt(v.real)},{_fmt(v.imag)}]" for v in row) + "]"
+        "[" + ",".join(f"[{_json_fmt(v.real)},{_json_fmt(v.imag)}]" for v in row) + "]"
         for row in matrix) + "]"
     assert _json(matrix.real) == "[" + ",".join(
-        "[" + ",".join(_fmt(v.real) for v in row) + "]" for row in matrix) + "]"
+        "[" + ",".join(_json_fmt(v.real) for v in row) + "]" for row in matrix) + "]"
     assert _json(np.empty((0, 3))) == "[]" and _json(np.empty((2, 0))) == "[[],[]]"
 
 

@@ -1,15 +1,22 @@
 """Faults that `verify` must catch, each with the lines it must fail.
 
-Every case puts one NaN into the data of a line, where a fold such as
+The NaN cases put one NaN into the data of a line, where a fold such as
 Python's ``max(worst, x)`` would drop it: a NaN compares false with
 everything, so that fold keeps ``worst`` and the line passes. Each line must
 fold its residual through one NaN-propagating maximum (`report._largest`).
+
+The source faults edit one rule that both parities share (U's row writer,
+the multiplicity rule, the E+- and Z coefficients) in a copy of the
+function's own source, and pin every line that then fails.
 """
+
+import inspect
+import json
 
 import numpy as np
 import pytest
 
-from superosc import representation, suite
+from superosc import fourier, oscillator, representation, suite
 from superosc.cli import main
 from superosc.report import VerificationReport
 
@@ -70,6 +77,23 @@ def test_nan_fails_verify(monkeypatch, capsys):
     assert "FAIL  j=3 star conditions: residual=nan" in capsys.readouterr().out
 
 
+def test_nan_residual_is_strict_json(monkeypatch, capsys):
+    # JSON has no nan: the NaN residuals print as null, and the text parses
+    # with every non-standard constant refused.
+    def refuse(constant):
+        raise ValueError(f"not JSON: {constant}")
+
+    generator = representation.generator_matrix
+    monkeypatch.setattr(representation, "generator_matrix", _with_nan(
+        generator, (0, 0), lambda name, j: name == "E-" and j == 3))
+    assert main(["verify", "--j-max", "1", "--p-list", "0.3", "--format", "json"]) == 1
+    report = json.loads(capsys.readouterr().out, parse_constant=refuse)
+    failed = {check["name"]: check["residual"] for check in report["checks"]
+              if not check["passed"]}
+    assert failed == {"j=3 superalgebra relations": None, "j=3 star conditions": None}
+    assert report["passed"] is False
+
+
 @pytest.mark.parametrize("position", [1, 2])
 def test_max_residual_keeps_a_nan(position):
     residuals = [0.1, 0.5, 0.3]
@@ -78,3 +102,57 @@ def test_max_residual_keeps_a_nan(position):
     for k, residual in enumerate(residuals):
         report.add(f"check {k}", residual, 1.0)
     assert np.isnan(report.max_residual)
+
+
+def _mutant(function, edits):
+    # `function` compiled from its own source with each key of `edits`,
+    # found exactly once, replaced by its value; it runs in a copy of its
+    # module's globals.
+    source = inspect.getsource(function)
+    for old, new in edits.items():
+        assert source.count(old) == 1, old
+        source = source.replace(old, new)
+    module = inspect.getmodule(function)
+    namespace = dict(vars(module))
+    exec(compile(source, module.__file__, "exec"), namespace)
+    return namespace[function.__name__]
+
+
+_POINT_LINES = ("position eigen-equation", "position eigenvectors orthogonal",
+                "momentum eigen-equation (conjugated)", "momentum eigenvectors unitary",
+                "V = U F", "V^T V anti-diagonal", "sign variant eigen-equation",
+                "wave function parity", "closed-form route agreement",
+                "spectral transform = U^T J U", "oracle eigenvectors vs analytic")
+
+# name: (module, function, {source text: the fault}, the lines that fail
+#        in run_suite(1, (0.3,)), in order)
+SOURCE_FAULTS = {
+    # Odd rows mirror column j+k onto j-k unnegated. The endpoint limits are
+    # built by the same writer, so only their orthogonality sees it.
+    "odd rows unnegated": (
+        oscillator, "_fill_rows", {"(-1.0) ** odd": "1.0"},
+        [f"j=1 p=0.3 {line}" for line in _POINT_LINES]
+        + [f"j={j} p->{end} limit orthogonal" for j in range(1, 7) for end in (0, 1)]),
+    # The counts of -i and -1 swapped.
+    "multiplicities swapped": (
+        fourier, "expected_multiplicities",
+        {"(j // 2 + 1, (j + 1) // 2, (j + 1) // 2, j // 2)":
+         "(j // 2, (j + 1) // 2, (j + 1) // 2, j // 2 + 1)"},
+        ["j=1 p=0.3 multiplicity parity rule"]),
+    # E+- takes the even columns' coefficient on odd columns too. E+ and E-
+    # stay each other's transpose, so the star conditions hold.
+    "E+- without the odd offset": (
+        representation, "generator_matrix",
+        {"sign * m - odd)": "sign * m)", "sign * m + 2 - odd)": "sign * m + 2)"},
+        [f"j={j} superalgebra relations" for j in range(2, 11)]),
+    "Z without the odd offset": (
+        representation, "generator_matrix", {"-((j + odd) / 2.0)": "-(j / 2.0)"},
+        [f"j={j} superalgebra relations" for j in range(1, 11)]),
+}
+
+
+@pytest.mark.parametrize("module, function, edits, lines",
+                         SOURCE_FAULTS.values(), ids=SOURCE_FAULTS.keys())
+def test_source_fault_fails_its_lines(monkeypatch, module, function, edits, lines):
+    monkeypatch.setattr(module, function, _mutant(getattr(module, function), edits))
+    assert [check.name for check in suite.run_suite(1, (0.3,)).failures()] == lines

@@ -379,7 +379,7 @@ def test_limit_rejects_unknown_side():
         limit_U(2, "sideways")
 
 
-# sha256 of every array a family of builders returns, in order, each as its
+# sha256 of every array a family of functions returns, in order, each as its
 # dtype, shape and bytes: for j = 0..12 and, where p enters, the five p below.
 # The same at one and two BLAS threads; any change of any bit (the sign of
 # a zero included) changes the digest.
