@@ -8,8 +8,8 @@ comparison table).
 Identical flags produce byte-identical text for a fixed BLAS build and
 thread count and, for ``verify``, a fixed SUPEROSC_TOL: the number of BLAS
 threads can move the last bits of large outputs (``fourier --method
-spectral`` from j = 150, ``wavefunction`` at j = 1000, ``limits`` at
-j = 2000). Floats are printed with 17 significant digits (round-trip
+spectral`` from j = 150, ``wavefunction`` at j = 1000, ``limits`` from
+about j = 20000). Floats are printed with 17 significant digits (round-trip
 safe), nan and inf as null in JSON; complex values become [re, im] pairs
 in JSON and paired columns in CSV. Exit codes: 0 success, 1 verification
 failure, 2 usage error, 3 domain error or an --output that cannot be
@@ -45,12 +45,15 @@ def _estimated_peak(args: argparse.Namespace) -> int:
     # Bytes per entry times the entries a command builds or prints, plus
     # 1 MiB that any command may hold at small j. Each figure is a
     # tracemalloc peak at j = 300, printed text included, rounded up;
-    # fourier's is 10% over its largest peak, both routes and formats at
-    # j = 150, 300 and 600 (113.4 B, JSON at j = 150). Verify's is 10% over
-    # the largest peak of one sweep point, cold and warm caches at j = 100,
-    # 150 and 200 (143.3 B, cold at j = 100); it adds 6 MiB for its fixed
-    # checks and the two Krawtchouk table caches, up to 2 x 64 tables of
-    # (j+1)^2 floats kept from the sweep points before it.
+    # limits' is 10% over its largest peak per lattice point, at j = 300,
+    # 2000, 20000 and 200000 (522 B, p = 1e-30 at j = 300, where every
+    # column takes the Sturm count); fourier's is 10% over its largest
+    # peak, both routes and formats at j = 150, 300 and 600 (113.4 B, JSON
+    # at j = 150). Verify's is 10% over the largest peak of one sweep
+    # point, cold and warm caches at j = 100, 150 and 200 (143.3 B, cold at
+    # j = 100); it adds 6 MiB for its fixed checks and the two Krawtchouk
+    # table caches, up to 2 x 64 tables of (j+1)^2 floats kept from the
+    # sweep points before it.
     j = max(args.j_max if args.command == "verify" else args.j, 0)
     dim, table = 2 * j + 1, (j + 1) ** 2  # grid size, polynomial-table entries
     if args.command == "spectrum":
@@ -58,7 +61,7 @@ def _estimated_peak(args: argparse.Namespace) -> int:
     elif args.command == "wavefunction":
         nbytes = 32 * table + 160 * len(args.n) * dim
     elif args.command == "limits":
-        nbytes = 32 * table
+        nbytes = 576 * (j + 1)
     elif args.command == "fourier":
         nbytes = 128 * dim**2
     else:
@@ -274,7 +277,8 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def cmd_limits(args: argparse.Namespace) -> tuple[int, str]:
-    # The dual Hahn and Krawtchouk tables behind each row are (j+1)x(j+1).
+    # Each row reads the first grid_count + 1 columns of the dual Hahn and
+    # Krawtchouk tables, (j+1) x 16 at most: O(j) time and memory.
     grid_count = min(15, args.j)
     rows = paraboson_limit_table(args.j, args.p, args.alpha, args.n, grid_count)
     fields = {"j": args.j, "p": args.p, "alpha": args.alpha, "n": args.n}

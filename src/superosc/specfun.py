@@ -5,9 +5,13 @@ Provides the orthonormal Krawtchouk and dual Hahn tables, the exact integer
 values built on it, and the even paraboson wave function, whose magnitude
 is assembled in log space. Orthonormal tables are produced from the
 symmetric Jacobi (three-term recurrence) matrix of each family, whose
-eigenvectors are the normalized polynomial values on the grid. Column signs
-follow one rule. Column 0 is positive, as every polynomial of both families
-is 1 at the first lattice point. For the true table T,
+eigenvectors are the normalized polynomial values on the grid. A full table
+comes from one eigensolve; its leading columns alone come from inverse
+iteration at the lattice eigenvalues, which both families know exactly:
+lambda(x) = x (Krawtchouk) and x(x+gamma+delta+1) (dual Hahn), in O(N) per
+column. Column signs follow one rule for both sources. Column 0 is
+positive, as every polynomial of both families is 1 at the first lattice
+point. For the true table T,
 T^T diag(0, 1, ..., N) T is the dual family's Jacobi matrix, whose
 off-diagonal is negative, so each link t_x^T diag(n) t_{x+1} fixes the sign
 of column x+1 relative to column x, all links in one vectorized pass. A link
@@ -29,6 +33,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dstein
 
 __all__ = [
     "krawtchouk_normalized",
@@ -117,17 +122,29 @@ def _neighbour_links(vecs: np.ndarray) -> np.ndarray:
                      vecs[:, :-1], vecs[:, 1:])
 
 
-def _jacobi_table(diag: np.ndarray, off: np.ndarray, sign) -> np.ndarray:
+def _jacobi_table(diag: np.ndarray, off: np.ndarray, sign,
+                  lam: np.ndarray | None = None) -> np.ndarray:
     # Orthonormal table of a family whose symmetric Jacobi matrix has
     # diagonal diag and negative off-diagonal off: column x of the
     # eigenvector matrix carries the normalized polynomials at the x-th
-    # lattice point, up to an overall sign. Column 0 is positive, so its
-    # largest entry (>= 1/sqrt(N+1)) signs it. Each link at or above the
-    # floor signs column x+1 from column x, as the true dual off-diagonal is
-    # negative: flip[x] flip[x+1] link[x] < 0. The column after a link below
-    # the floor starts a new chain: sign(diag, off, x, ns) (the Sturm count)
-    # gives the true sign of its largest entry ns, relative to row 0.
-    _, vecs = eigh_tridiagonal(diag, off)
+    # lattice point, up to an overall sign. With lam, the exact eigenvalues
+    # of lattice points 0..m-1 in increasing order, only those m columns are
+    # built, by inverse iteration (LAPACK dstein) in O(mN); otherwise the
+    # whole table is eigensolved. Column 0 is positive, so its largest entry
+    # (>= 1/sqrt(N+1)) signs it. Each link at or above the floor signs column
+    # x+1 from column x, as the true dual off-diagonal is negative:
+    # flip[x] flip[x+1] link[x] < 0. The column after a link below the floor
+    # starts a new chain: sign(diag, off, x, ns) (the Sturm count) gives the
+    # true sign of its largest entry ns, relative to row 0.
+    if lam is None:
+        _, vecs = eigh_tridiagonal(diag, off)
+    else:
+        # One unreduced block: off < 0 has no zero entry.
+        size = len(diag)
+        vecs, info = dstein(diag, off, lam, np.ones(size, dtype=np.int32),
+                            np.full(size, size, dtype=np.int32))
+        if info:
+            raise np.linalg.LinAlgError(f"inverse iteration failed, dstein info={info}")
     link = _neighbour_links(vecs)
     sign0 = -1.0 if vecs[np.argmax(np.abs(vecs[:, 0])), 0] < 0 else 1.0
     # copysign keeps each step +-1 even where a link is 0, below the floor.
@@ -151,15 +168,21 @@ def _krawtchouk_sign(diag: np.ndarray, off: np.ndarray, x: np.ndarray,
     return _sturm_sign(diag, off, x.astype(float), ns)
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
-def _krawtchouk_table(p: float, q: float, N: int) -> np.ndarray:
-    # q stands for 1 - p. The Fourier overlaps pass p = 4s(1-s) with
-    # q = (1-2s)^2, where the float 1.0 - p loses up to 1.7e-8 near s = 1/2.
+def _krawtchouk_jacobi(p: float, q: float, N: int) -> tuple[np.ndarray, np.ndarray, object]:
+    # Jacobi matrix (diag, off) of the (p, N) Krawtchouk family, q = 1 - p,
+    # and its sign hook. Its eigenvalue at lattice point x is x.
     n = np.arange(N, dtype=float)
     nn = np.arange(N + 1, dtype=float)
     diag = p * (N - nn) + nn * q
     off = -np.sqrt(p * q * (n + 1.0) * (N - n))
-    return _jacobi_table(diag, off, _krawtchouk_sign)
+    return diag, off, _krawtchouk_sign
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _krawtchouk_table(p: float, q: float, N: int) -> np.ndarray:
+    # q stands for 1 - p. The Fourier overlaps pass p = 4s(1-s) with
+    # q = (1-2s)^2, where the float 1.0 - p loses up to 1.7e-8 near s = 1/2.
+    return _jacobi_table(*_krawtchouk_jacobi(p, q, N))
 
 
 def krawtchouk_table(p: float, N: int) -> np.ndarray:
@@ -230,8 +253,10 @@ def _dual_hahn_sign(diag: np.ndarray, off: np.ndarray, x: np.ndarray,
     return _sturm_sign(diag, off, x * (x + shift), ns)
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
-def _dual_hahn_table(gamma: float, delta: float, N: int) -> np.ndarray:
+def _dual_hahn_jacobi(gamma: float, delta: float,
+                      N: int) -> tuple[np.ndarray, np.ndarray, object]:
+    # Jacobi matrix (diag, off) of the (gamma, delta, N) dual Hahn family and
+    # its sign hook. Its eigenvalue at lattice point x is x(x + gamma + delta + 1).
     n = np.arange(N, dtype=float)
     nn = np.arange(N + 1, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -240,7 +265,12 @@ def _dual_hahn_table(gamma: float, delta: float, N: int) -> np.ndarray:
     if not (np.isfinite(diag).all() and np.isfinite(off).all()):
         raise ValueError(f"gamma={gamma} and delta={delta} overflow the dual Hahn "
                          f"recurrence coefficients at N={N}")
-    return _jacobi_table(diag, off, partial(_dual_hahn_sign, shift=gamma + delta + 1.0))
+    return diag, off, partial(_dual_hahn_sign, shift=gamma + delta + 1.0)
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _dual_hahn_table(gamma: float, delta: float, N: int) -> np.ndarray:
+    return _jacobi_table(*_dual_hahn_jacobi(gamma, delta, N))
 
 
 def dual_hahn_table(gamma: float, delta: float, N: int) -> np.ndarray:
@@ -252,6 +282,25 @@ def dual_hahn_table(gamma: float, delta: float, N: int) -> np.ndarray:
     """
     N = _integer(N, "N")
     return _dual_hahn_table(_finite(gamma, "gamma", -1), _finite(delta, "delta", -1), N)
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _leading_columns(family: str, a: float, b: float, N: int, m: int) -> np.ndarray:
+    # Columns 0..m-1, m <= N+1, of the Krawtchouk table, (a, b) = (p, q), or of
+    # the dual Hahn table, (a, b) = (gamma, delta), by inverse iteration at
+    # their exact eigenvalues: O(mN) time and memory, where the full table
+    # costs O(N^2). Signed by the full table's rule, and cached and read-only
+    # like it.
+    x = np.arange(m, dtype=float)
+    if family == "krawtchouk":
+        jacobi, lam = _krawtchouk_jacobi(a, b, N), x
+    else:
+        jacobi, lam = _dual_hahn_jacobi(a, b, N), x * (x + a + b + 1.0)
+    try:
+        return _jacobi_table(*jacobi, lam)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError(f"{family} columns 0..{m - 1} at N={N}, "
+                         f"parameters ({a!r}, {b!r}): {exc}") from None
 
 
 def _hyp1f1_series(n: int, a: float, x: float) -> float:

@@ -181,6 +181,25 @@ def _shift_misses(a: int, b: int, j: int, second: bool) -> int:
     return misses
 
 
+def _endpoint_limit(j: int, end: int) -> np.ndarray:
+    # The limit of analytic_U as p -> end, entry by entry from the pattern
+    # limit_U documents, so that U's row writer, which lays out limit_U too,
+    # is not its own check. Toward 0: row 0 is 1 at the center column j, row
+    # 2n is 1/sqrt(2) at columns j-+n, row 2n+1 is -1/sqrt(2) at column
+    # j-(n+1) and +1/sqrt(2) at column j+(n+1). Toward 1: that matrix with
+    # its rows reversed and column c times (-1)^c.
+    limit = np.zeros((2 * j + 1, 2 * j + 1))
+    limit[0, j] = 1.0
+    half = 1.0 / math.sqrt(2.0)
+    for n in range(1, j + 1):
+        limit[2 * n, j - n] = limit[2 * n, j + n] = half
+        limit[2 * n - 1, j - n] = -half
+        limit[2 * n - 1, j + n] = half
+    if end:
+        limit = limit[::-1] * (-1.0) ** np.arange(2 * j + 1)
+    return limit
+
+
 def _fixed_checks(report: VerificationReport, tol: float) -> None:
     for j in range(0, 11):
         algebra = representation.verify_superalgebra(j)
@@ -192,14 +211,14 @@ def _fixed_checks(report: VerificationReport, tol: float) -> None:
         toward_zero = limit_U(j, "toward-zero")
         # analytic_U approaches the limit at rate sqrt(p): 1e-6 sqrt(j) here.
         report.add(f"j={j} p->0 limit convergence (p=1e-12)",
-                   _largest(analytic_U(ModelParams(j, 1e-12)) - toward_zero),
+                   _largest(analytic_U(ModelParams(j, 1e-12)) - _endpoint_limit(j, 0)),
                    1e-5)
         report.add(f"j={j} p->0 limit orthogonal",
                    _largest(toward_zero.T @ toward_zero - np.eye(2 * j + 1)),
                    1e-12)
         toward_one = limit_U(j, "toward-one")
         report.add(f"j={j} p->1 limit convergence (p=1-1e-12)",
-                   _largest(analytic_U(ModelParams(j, 1 - 1e-12)) - toward_one),
+                   _largest(analytic_U(ModelParams(j, 1 - 1e-12)) - _endpoint_limit(j, 1)),
                    1e-5)
         report.add(f"j={j} p->1 limit orthogonal",
                    _largest(toward_one.T @ toward_one - np.eye(2 * j + 1)),

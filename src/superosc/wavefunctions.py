@@ -24,10 +24,9 @@ from .specfun import (
     _finite,
     _integer,
     _krawtchouk_exact,
+    _leading_columns,
     _probability,
     _ratio,
-    dual_hahn_table,
-    krawtchouk_table,
     paraboson_even_wavefunction,
 )
 
@@ -174,9 +173,11 @@ def paraboson_limit_table(j: int, p: float, alpha: float, n: int,
     gamma, delta = 2.0 * p * alpha, 2.0 * (1.0 - p) * alpha
     k = np.arange(1, grid_count + 1)
     x = np.sqrt(k * (k + 2.0 * alpha + 1.0) / j)
-    # Row n of each table at lattice points 1..grid_count.
-    normalized = dual_hahn_table(gamma, delta, j)[n, 1:grid_count + 1]
+    # Row n of each table at lattice points 1..grid_count, from its leading
+    # columns alone: O(j) time and memory.
+    normalized = _leading_columns("dual Hahn", gamma, delta, j, grid_count + 1)[n, 1:]
+    krawtchouk = _leading_columns("krawtchouk", p, 1.0 - p, j, grid_count + 1)[n, 1:]
     discrete = (-1.0) ** n * _INV_SQRT2 * j**0.25 * normalized
     continuum = [paraboson_even_wavefunction(n, gamma, x_k) for x_k in x.tolist()]
-    gap = np.abs(normalized - krawtchouk_table(p, j)[n, 1:grid_count + 1])
+    gap = np.abs(normalized - krawtchouk)
     return np.column_stack((x, discrete, continuum, gap))

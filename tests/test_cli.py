@@ -307,7 +307,7 @@ def test_domain_errors_exit_3(capsys):
 _FIRST_REFUSED = [
     ("fourier", "--j", "2047", "--p", "0.3"),
     ("verify", "--j-max", "1137"),
-    ("limits", "--j", "8189", "--p", "0.3", "--alpha", "10"),
+    ("limits", "--j", "3726449", "--p", "0.3", "--alpha", "10"),
     ("wavefunction", "--j", "8185", "--p", "0.3"),
     ("spectrum", "--j", "8384512"),
 ]
@@ -318,7 +318,7 @@ _FIRST_REFUSED = [
     ("wavefunction", "--j", "1000000000", "--p", "0.3"),
     ("verify", "--j-max", "1000000000"),
     ("limits", "--j", "1000000000", "--p", "0.3", "--alpha", "10"),
-    ("limits", "--j", "16384", "--p", "0.3", "--alpha", "10"),
+    ("limits", "--j", "8388608", "--p", "0.3", "--alpha", "10"),
     ("wavefunction", "--j", "16384", "--p", "0.3"),
     ("spectrum", "--j", "8388608", "--observable", "H"),
     # The first j over each command's estimated peak.
@@ -349,13 +349,16 @@ def test_peak_cap_admits_the_j_below_the_first_refused(argv):
 
 def _clear_caches():
     for cached in (specfun._krawtchouk_table, specfun._krawtchouk_shift_table,
-                   specfun._dual_hahn_table, fourier._S_table, wavefunctions._closed_row):
+                   specfun._dual_hahn_table, specfun._leading_columns, fourier._S_table,
+                   wavefunctions._closed_row):
         cached.cache_clear()
 
 
 # From cold caches, near the j of the estimate's figures where a run is
 # cheap. Fourier's figure is mostly its printed text, the same per entry at
-# any j; verify at this j_max measures its fixed checks.
+# any j; verify at this j_max measures its fixed checks. limits at
+# j = 200000 reads 16 columns of each table: its estimate, 116 MB, is under
+# 1/1000 of one (j+1)^2 table of floats.
 @pytest.mark.parametrize("argv", [
     ("spectrum", "--j", "20000", "--observable", "p"),
     ("wavefunction", "--j", "300", "--p", "0.3", "--n", "1"),
@@ -364,6 +367,7 @@ def _clear_caches():
     ("limits", "--j", "300", "--p", "0.3", "--alpha", "10", "--n", "2"),
     ("fourier", "--j", "150", "--p", "0.3", "--method", "spectral"),
     ("verify", "--j-max", "12", "--p-list", "0.5"),
+    ("limits", "--j", "200000", "--p", "0.3", "--alpha", "10", "--n", "2"),
 ])
 def test_peak_is_at_most_the_estimate(capsys, argv):
     _clear_caches()
@@ -373,8 +377,22 @@ def test_peak_is_at_most_the_estimate(capsys, argv):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+        _clear_caches()
     assert code == 0
     assert peak <= cli._estimated_peak(_args(argv))
+
+
+# CI's limits command and one at j = 8000, each run at one and at two BLAS
+# threads. Up to j = 8000 the columns' inverse iteration rounds the same
+# whatever the thread count; from about j = 20000 the bytes differ.
+@pytest.mark.parametrize("j", [2000, 8000])
+def test_limits_bytes_do_not_depend_on_the_blas_thread_count(j):
+    argv = [sys.executable, "-m", "superosc", "limits", "--j", str(j), "--p", "0.3",
+            "--alpha", "10", "--n", "2"]
+    outputs = [subprocess.run(argv, capture_output=True, check=True, env={
+        **os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": _SRC}).stdout
+        for threads in ("1", "2")]
+    assert outputs[0] == outputs[1] and len(outputs[0].splitlines()) == 2 + 15
 
 
 @pytest.mark.parametrize("argv", [
@@ -409,6 +427,16 @@ def test_non_finite_alpha_exits_3_with_one_error_line(capsys, alpha):
     code, out, err = run(capsys, "limits", "--j", "20", "--p", "0.5", "--alpha", alpha)
     assert (code, out) == (3, "")
     assert err.splitlines() == [f"error: need a finite alpha > 0, got alpha={alpha}"]
+
+
+def test_failed_inverse_iteration_exits_3_naming_the_table(capsys, monkeypatch):
+    # LAPACK dstein reports columns that did not converge with info > 0.
+    monkeypatch.setattr(specfun, "dstein", lambda d, *args: (np.zeros((len(d), 16)), 2))
+    _clear_caches()
+    code, out, err = run(capsys, "limits", "--j", "20", "--p", "0.5", "--alpha", "10")
+    assert (code, out) == (3, "")
+    assert err.splitlines() == ["error: dual Hahn columns 0..15 at N=20, parameters (10.0, 10.0): "
+                                "inverse iteration failed, dstein info=2"]
 
 
 @pytest.mark.filterwarnings("error")
@@ -726,13 +754,13 @@ _OUTPUT_SHA256 = {
     ("spectrum", "--j", "0", "--observable", "q", "--format", "json"):
         "ee849008de20ecbcbf997c3fb4655d16a504d968e1130bda1c67ad03c2112256",
     ("limits", "--j", "5", "--p", "0.3", "--alpha", "10", "--n", "2"):
-        "70aca05a570f0958fa7d839cbe5bb122512531a58c2e869f5e62f274b0a04bce",
+        "e4d228af3b750284bb8571b4424d88226009a4515603418d0248152807d66567",
     ("limits", "--j", "5", "--p", "0.3", "--alpha", "10", "--n", "2", "--format", "json"):
-        "2ff6bba092e80f8f922e826123d893c9bcd8307d124df80afb89e991c3c53c96",
+        "a7e41e38f2547b7caf027df029b3c47218ad7b3bd3e70bf254bf6fa8c77c0949",
     ("limits", "--j", "60", "--p", "0.7", "--alpha", "100", "--n", "3"):
-        "bf5889817e120af9e3c6ba00f2c66a5968408af2079f6aac27442e91aa04ab10",
+        "dba38e330e72fb3ca765ed1dd6d92c6635201f48bfc282ff6f8729c3fd2eef1a",
     ("limits", "--j", "60", "--p", "0.7", "--alpha", "100", "--n", "3", "--format", "json"):
-        "7ea64784d65ee881b66f506333069ecddda1b23ba02e37d53a85ec24348859f2",
+        "597f825b2e08508d18d373658b68afb863e1ad3c5bd9295604db233f38444506",
     ("wavefunction", "--j", "0", "--p", "0.3"):
         "0ce8abd430afc4bca2f6e0350618e868383151c4f3c955d271748447610e7197",
     ("wavefunction", "--j", "12", "--p", "0.3", "--n", _LEVELS_12):

@@ -127,12 +127,15 @@ _POINT_LINES = ("position eigen-equation", "position eigenvectors orthogonal",
 # name: (module, function, {source text: the fault}, the lines that fail
 #        in run_suite(1, (0.3,)), in order)
 SOURCE_FAULTS = {
-    # Odd rows mirror column j+k onto j-k unnegated. The endpoint limits are
-    # built by the same writer, so only their orthogonality sees it.
+    # Odd rows mirror column j+k onto j-k unnegated. limit_U is built by the
+    # same writer and fails its orthogonality; the convergence lines compare
+    # U with limits written entry by entry, so they fail too.
     "odd rows unnegated": (
         oscillator, "_fill_rows", {"(-1.0) ** odd": "1.0"},
         [f"j=1 p=0.3 {line}" for line in _POINT_LINES]
-        + [f"j={j} p->{end} limit orthogonal" for j in range(1, 7) for end in (0, 1)]),
+        + [line for j in range(1, 7) for line in (
+            f"j={j} p->0 limit convergence (p=1e-12)", f"j={j} p->0 limit orthogonal",
+            f"j={j} p->1 limit convergence (p=1-1e-12)", f"j={j} p->1 limit orthogonal")]),
     # The counts of -i and -1 swapped.
     "multiplicities swapped": (
         fourier, "expected_multiplicities",

@@ -1,5 +1,7 @@
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import partial
 from math import comb, factorial
 
 import numpy as np
@@ -379,14 +381,40 @@ def _krawtchouk_exact_sign(n: int, x: int, P: int, Q: int, N: int) -> int:
     return _exact_sign(a)
 
 
-def _dual_hahn_exact_sign(n: int, x: int, gamma: Fraction, delta: Fraction, N: int) -> int:
-    # Sign of R_n(lambda(x); gamma, delta, N) from the 3F2 series in rationals.
+def _dual_hahn_3f2(n: int, x: int, gamma: Fraction, delta: Fraction, N: int) -> Fraction:
+    # R_n(lambda(x); gamma, delta, N), the 3F2 series in rationals.
     total = term = Fraction(1)
     for s in range(min(n, x)):
         term = term * (-n + s) * (-x + s) * (x + gamma + delta + 1 + s) \
             / ((-N + s) * (gamma + 1 + s) * (s + 1))
         total += term
-    return _exact_sign(total)
+    return total
+
+
+def _dual_hahn_exact_sign(n: int, x: int, gamma: Fraction, delta: Fraction, N: int) -> int:
+    return _exact_sign(_dual_hahn_3f2(n, x, gamma, delta, N))
+
+
+def _rising(a: Fraction, k: int) -> Fraction:
+    return math.prod((a + i for i in range(k)), start=Fraction(1))
+
+
+def _dual_hahn_exact(n: int, x: int, gamma: Fraction, delta: Fraction, N: int) -> float:
+    # R~_n(lambda(x)) = R_n(lambda(x)) sqrt(w(x) C(gamma+n, n) C(delta+N-n, N-n))
+    # (Koekoek, Lesky & Swarttouw 9.6.2), whose square is an exact rational
+    # for rational gamma and delta; rounded once, through a 40-digit root.
+    shift = gamma + delta + 1
+    weight = ((2 * x + shift) * _rising(gamma + 1, x) * math.factorial(N) ** 2
+              / (math.factorial(N - x) * _rising(x + shift, N + 1) * _rising(delta + 1, x)
+                 * math.factorial(x)))
+    norm = (_rising(gamma + 1, n) / math.factorial(n)
+            * _rising(delta + 1, N - n) / math.factorial(N - n))
+    value = _dual_hahn_3f2(n, x, gamma, delta, N)
+    square = value * value * weight * norm
+    with localcontext() as context:
+        context.prec = 40
+        magnitude = (Decimal(square.numerator) / Decimal(square.denominator)).sqrt()
+    return _exact_sign(value) * float(magnitude)
 
 
 def _weak_columns(table: np.ndarray) -> np.ndarray:
@@ -549,6 +577,90 @@ def test_dual_hahn_signs_ignore_the_solver_column_signs(monkeypatch, gamma, delt
     assert build(gamma, delta, N).tobytes() == expected
 
 
+# The column path against the full table. A column of the other sign would
+# differ from it by twice its largest entry, at least 2/sqrt(N+1), so the
+# bound also pins every column's sign.
+@pytest.mark.parametrize("family,a,b,N", [
+    *(("krawtchouk", p, 1.0 - p, N) for p in (1e-30, 1e-12, 0.3, 0.5, 0.9, 1 - 1e-12)
+      for N in (1, 2, 15, 200, 2000)),
+    ("dual Hahn", 10.0, 10.0, 1), ("dual Hahn", 6.0, 14.0, 15), ("dual Hahn", 10.0, 10.0, 400),
+    ("dual Hahn", 600.0, 1400.0, 100), ("dual Hahn", 6.0, 14.0, 2000),
+])
+def test_leading_columns_match_the_full_table(family, a, b, N):
+    m = min(16, N + 1)
+    columns = specfun._leading_columns(family, a, b, N, m)
+    build = specfun._krawtchouk_table if family == "krawtchouk" else specfun._dual_hahn_table
+    assert columns.shape == (N + 1, m) and not columns.flags.writeable
+    assert np.abs(columns - build.__wrapped__(a, b, N)[:, :m]).max() <= 2e-13
+
+
+def test_leading_krawtchouk_columns_at_least_as_exact_as_the_full_table():
+    # A seeded sweep to N = 2000: four of the 16 columns of each, at p with
+    # small denominators, where the exact values are cheap.
+    rng = np.random.default_rng(3)
+    for N in (2000, *rng.integers(41, 2000, size=4).tolist()):
+        p = float(rng.choice([0.5, 0.25, 0.75, 0.2, 0.8]))
+        xs = sorted(rng.choice(16, 4, replace=False).tolist())
+        P, D = specfun._ratio(p)
+        exact = np.array([[sign * mag for sign, mag in specfun._krawtchouk_exact(x, N, P, D)]
+                          for x in xs]).T
+        columns = specfun._leading_columns.__wrapped__("krawtchouk", p, 1.0 - p, N, 16)
+        full = specfun._krawtchouk_table.__wrapped__(p, 1.0 - p, N)
+        assert np.abs(columns[:, xs] - exact).max() <= np.abs(full[:, xs] - exact).max()
+
+
+# The benchmark's limits shapes, (p, alpha, j) = (1/2, 10, 60) and
+# (0.3 or 0.7, 1000, 100): rows 0..2 at lattice points 1..15, as limits reads
+# them, against exact rational values.
+@pytest.mark.parametrize("p,alpha,N", [(0.5, 10.0, 60), (0.3, 1000.0, 100), (0.7, 1000.0, 100)])
+def test_leading_dual_hahn_columns_at_least_as_exact_as_the_full_table(p, alpha, N):
+    gamma, delta = 2.0 * p * alpha, 2.0 * (1.0 - p) * alpha
+    exact = np.array([[_dual_hahn_exact(n, x, Fraction(gamma), Fraction(delta), N)
+                       for x in range(1, 16)] for n in range(3)])
+    columns = specfun._leading_columns.__wrapped__("dual Hahn", gamma, delta, N, 16)
+    full = specfun._dual_hahn_table.__wrapped__(gamma, delta, N)
+    assert np.abs(columns[:3, 1:] - exact).max() <= np.abs(full[:3, 1:16] - exact).max()
+
+
+@pytest.mark.parametrize("N", [41, 200])
+@pytest.mark.parametrize("k", [0, 7, 14])
+def test_column_path_exact_signs_catch_one_negated_link(monkeypatch, k, N):
+    links = specfun._neighbour_links
+
+    def negated(vecs):
+        link = links(vecs)
+        link[k] = -link[k]
+        return link
+
+    monkeypatch.setattr(specfun, "_neighbour_links", negated)
+    columns = specfun._leading_columns.__wrapped__("krawtchouk", 0.5, 0.5, N, 16)
+    assert _krawtchouk_sign_misses(columns, 1, 2, range(16)) == list(range(k + 1, 16))
+
+
+@pytest.mark.parametrize("N", [40, 200, 2000])
+def test_column_path_falls_back_to_the_sturm_count(monkeypatch, N):
+    calls = _spy_sign_hooks(monkeypatch)
+    columns = specfun._leading_columns.__wrapped__("krawtchouk", 1e-30, 1.0, N, 16)
+    assert calls == ["_krawtchouk_sign"]
+    assert _krawtchouk_sign_misses(columns, 1, 10**30, range(16)) == []
+
+
+@pytest.mark.parametrize("family,a,b", [("krawtchouk", 1e-30, 1.0), ("krawtchouk", 0.3, 0.7),
+                                        ("dual Hahn", 10.0, 10.0), ("dual Hahn", 600.0, 1400.0)])
+def test_column_path_ignores_the_solver_column_signs(monkeypatch, family, a, b):
+    build = partial(specfun._leading_columns.__wrapped__, family, a, b, 200, 16)
+    expected = build().tobytes()
+    solve = specfun.dstein
+
+    def negating(*args):
+        vecs, info = solve(*args)
+        vecs[:, ::3] *= -1.0
+        return vecs, info
+
+    monkeypatch.setattr(specfun, "dstein", negating)
+    assert build().tobytes() == expected
+
+
 @pytest.mark.parametrize("p", [1e-12, 0.3, 0.5, 0.9, 1 - 1e-12])
 def test_public_tables_are_the_pq_form_at_one_minus_p(p):
     # The public builders pass (p, 1.0 - p) to the (p, q) form and share its
@@ -562,8 +674,8 @@ def test_public_tables_are_the_pq_form_at_one_minus_p(p):
 
 def test_table_caches_are_bounded():
     for cache in (specfun._krawtchouk_table, specfun._krawtchouk_shift_table,
-                  specfun._dual_hahn_table, fourier._S_table, specfun._ratio,
-                  wavefunctions._closed_row):
+                  specfun._dual_hahn_table, specfun._leading_columns, fourier._S_table,
+                  specfun._ratio, wavefunctions._closed_row):
         maxsize = cache.cache_info().maxsize
         assert maxsize is not None and maxsize >= 6
         assert maxsize == specfun._CACHE_SIZE

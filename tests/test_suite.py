@@ -20,8 +20,8 @@ def test_p_to_zero_convergence_check_passes():
 
 
 def test_p_to_zero_convergence_check_catches_a_flipped_limit(monkeypatch):
-    limit_U = suite.limit_U
-    monkeypatch.setattr(suite, "limit_U", lambda j, side: -limit_U(j, side))
+    limit = suite._endpoint_limit
+    monkeypatch.setattr(suite, "_endpoint_limit", lambda j, end: -limit(j, end))
     report = VerificationReport()
     suite._fixed_checks(report, 1e-10)
     # j = 0 included: the single entry 1 becomes -1.
@@ -42,9 +42,9 @@ def test_p_to_one_convergence_check_passes():
     (lambda u: u * (-1.0) ** np.arange(len(u)), range(1, 7)),
 ])
 def test_p_to_one_convergence_check_catches_a_wrong_limit(monkeypatch, wrong, failing):
-    limit_U = suite.limit_U
-    monkeypatch.setattr(suite, "limit_U", lambda j, side: (
-        wrong(limit_U(j, side)) if side == "toward-one" else limit_U(j, side)))
+    limit = suite._endpoint_limit
+    monkeypatch.setattr(suite, "_endpoint_limit", lambda j, end: (
+        wrong(limit(j, end)) if end else limit(j, end)))
     report = VerificationReport()
     suite._fixed_checks(report, 1e-10)
     assert [c.name for c in _limit_checks(report, "p->1") if not c.passed] == [
