@@ -44,16 +44,18 @@ _PEAK_BYTES_MAX = 2 * 2**30
 def _estimated_peak(args: argparse.Namespace) -> int:
     # Bytes per entry times the entries a command builds or prints, plus
     # 1 MiB that any command may hold at small j. Each figure is a
-    # tracemalloc peak at j = 300, printed text included, rounded up;
-    # limits' is 10% over its largest peak per lattice point, at j = 300,
-    # 2000, 20000 and 200000 (522 B, p = 1e-30 at j = 300, where every
-    # column takes the Sturm count); fourier's is 10% over its largest
-    # peak, both routes and formats at j = 150, 300 and 600 (113.4 B, JSON
-    # at j = 150). Verify's is 10% over the largest peak of one sweep
-    # point, cold and warm caches at j = 100, 150 and 200 (143.3 B, cold at
-    # j = 100); it adds 6 MiB for its fixed checks and the two Krawtchouk
-    # table caches, up to 2 x 64 tables of (j+1)^2 floats kept from the
-    # sweep points before it.
+    # tracemalloc peak at j = 300, printed text included, rounded up.
+    # limits' was set 10% over its largest peak per lattice point, at
+    # j = 300, 2000, 20000 and 200000 (522 B, p = 1e-30 at j = 300, where
+    # every column takes the Sturm count); with the chain heads' abs taken
+    # in place, the p = 1e-30 peak from cold caches is 448 B at j = 2000,
+    # 410 B at j = 20000 and 408 B at j = 200000. fourier's is 10% over its
+    # largest peak, both routes and formats at j = 150, 300 and 600
+    # (113.4 B, JSON at j = 150). Verify's is 10% over the largest peak of
+    # one sweep point, cold and warm caches at j = 100, 150 and 200
+    # (143.3 B, cold at j = 100); it adds 6 MiB for its fixed checks and
+    # the two Krawtchouk table caches, up to 2 x 64 tables of (j+1)^2
+    # floats kept from the sweep points before it.
     j = max(args.j_max if args.command == "verify" else args.j, 0)
     dim, table = 2 * j + 1, (j + 1) ** 2  # grid size, polynomial-table entries
     if args.command == "spectrum":

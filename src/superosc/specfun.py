@@ -152,7 +152,9 @@ def _jacobi_table(diag: np.ndarray, off: np.ndarray, sign,
     broken = np.abs(link) < _LINK_FLOOR
     if broken.any():
         heads = np.nonzero(broken)[0] + 1
-        ns = np.argmax(np.abs(vecs[:, heads]), axis=0)
+        # The fancy index copies, so its abs can be taken in place.
+        block = vecs[:, heads]
+        ns = np.argmax(np.abs(block, out=block), axis=0)
         true_sign = sign(diag, off, heads, ns)
         # Per chain, the true sign of its head over the one the links gave it.
         fix = np.where(vecs[ns, heads] * flip[heads] > 0, true_sign, -true_sign)

@@ -5,9 +5,10 @@ Python's ``max(worst, x)`` would drop it: a NaN compares false with
 everything, so that fold keeps ``worst`` and the line passes. Each line must
 fold its residual through one NaN-propagating maximum (`report._largest`).
 
-The source faults edit one rule that both parities share (U's row writer,
-the multiplicity rule, the E+- and Z coefficients) in a copy of the
-function's own source, and pin every line that then fails.
+The source faults edit one rule in a copy of the function's own source and
+pin every line that then fails: a rule that both parities share (U's row
+writer, the multiplicity rule, the E+- and Z coefficients), M_p's phases,
+and the sign variant's pattern.
 """
 
 import inspect
@@ -119,8 +120,7 @@ def _mutant(function, edits):
 
 
 _POINT_LINES = ("position eigen-equation", "position eigenvectors orthogonal",
-                "momentum eigen-equation (conjugated)", "momentum eigenvectors unitary",
-                "V = U F", "V^T V anti-diagonal", "sign variant eigen-equation",
+                "momentum eigenvectors unitary", "V = U F", "V^T V anti-diagonal",
                 "wave function parity", "closed-form route agreement",
                 "spectral transform = U^T J U", "oracle eigenvectors vs analytic")
 
@@ -151,6 +151,22 @@ SOURCE_FAULTS = {
     "Z without the odd offset": (
         representation, "generator_matrix", {"-((j + odd) / 2.0)": "-(j / 2.0)"},
         [f"j={j} superalgebra relations" for j in range(1, 11)]),
+    # M_p[1, 0] negated: M_p is no longer Hermitian.
+    "M_p non-Hermitian": (
+        suite, "momentum_matrix", {"    return mat": "    mat[1, 0] *= -1.0\n    return mat"},
+        ["j=1 p=0.3 momentum matrix = J* M_q J", "j=1 p=0.3 Heisenberg position equation"]),
+    # -i t above the diagonal and +i t below: conj(M_p) = -M_p.
+    "M_p phases conjugated": (
+        suite, "momentum_matrix", {"1j * off": "-1j * off", "1j * -off": "-1j * -off"},
+        ["j=1 p=0.3 momentum matrix = J* M_q J", "j=1 p=0.3 Heisenberg position equation"]),
+    # The variant negates the sqrt(p(j+1-k)) entries instead.
+    "sign variant on the even off-diagonals": (
+        suite, "sign_variant", {"off[1::2] *= -1.0": "off[0::2] *= -1.0"},
+        ["j=1 p=0.3 sign variant = D1 M_q D1, D1 U"]),
+    # D1 = diag(-1, 1, -1, 1, ...) instead of diag(1, 1, -1, -1, ...).
+    "D1 by parity": (
+        suite, "sign_variant", {"r % 4 < 2": "r % 2"},
+        ["j=1 p=0.3 sign variant = D1 M_q D1, D1 U"]),
 }
 
 
@@ -159,3 +175,11 @@ SOURCE_FAULTS = {
 def test_source_fault_fails_its_lines(monkeypatch, module, function, edits, lines):
     monkeypatch.setattr(module, function, _mutant(getattr(module, function), edits))
     assert [check.name for check in suite.run_suite(1, (0.3,)).failures()] == lines
+
+
+def test_non_hermitian_momentum_fails_verify(monkeypatch, capsys):
+    # A line that fails, not an input error: exit 1, not 3.
+    module, function, edits, _ = SOURCE_FAULTS["M_p non-Hermitian"]
+    monkeypatch.setattr(module, function, _mutant(getattr(module, function), edits))
+    assert main(["verify", "--j-max", "1", "--p-list", "0.3"]) == 1
+    assert "FAIL  j=1 p=0.3 momentum matrix = J* M_q J" in capsys.readouterr().out
