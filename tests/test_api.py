@@ -42,6 +42,8 @@ _REFUSED = (
     ("dual_hahn_table", (1.0, 1.0, -1), "need N >= 0, got N=-1"),
     ("paraboson_limit_table", (5, 0.5, 10.0, 0, 0), "need grid_count >= 1, got grid_count=0"),
     ("tridiag_eigen", ([math.nan], [0.0, 0.0]), "inputs must be finite"),
+    ("eigenvector_bound", ([math.inf], [0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]]),
+     "inputs must be finite"),
     ("krawtchouk_exact", (1, 1, 3, 2, 4), "need 0 < p_num < p_den, got 3/2"),
     # Sizes, p and bounds of every kind that once gave a wrong answer, a
     # TypeError or an IndexError.

@@ -122,20 +122,22 @@ def _mutant(function, edits):
 _POINT_LINES = ("position eigen-equation", "position eigenvectors orthogonal",
                 "momentum eigenvectors unitary", "V = U F", "V^T V anti-diagonal",
                 "wave function parity", "closed-form route agreement",
-                "spectral transform = U^T J U", "oracle eigenvectors vs analytic")
+                "spectral transform = U^T J U", "oracle eigenvector bound")
 
 # name: (module, function, {source text: the fault}, the lines that fail
 #        in run_suite(1, (0.3,)), in order)
 SOURCE_FAULTS = {
     # Odd rows mirror column j+k onto j-k unnegated. limit_U is built by the
-    # same writer and fails its orthogonality; the convergence lines compare
-    # U with limits written entry by entry, so they fail too.
+    # same writer: toward zero it fails its orthogonality, toward one its
+    # comparison with the limit written entry by entry. The convergence lines
+    # compare U with such limits, so they fail too.
     "odd rows unnegated": (
         oscillator, "_fill_rows", {"(-1.0) ** odd": "1.0"},
         [f"j=1 p=0.3 {line}" for line in _POINT_LINES]
         + [line for j in range(1, 7) for line in (
             f"j={j} p->0 limit convergence (p=1e-12)", f"j={j} p->0 limit orthogonal",
-            f"j={j} p->1 limit convergence (p=1-1e-12)", f"j={j} p->1 limit orthogonal")]),
+            f"j={j} p->1 limit convergence (p=1-1e-12)",
+            f"j={j} p->1 limit_U = entry-wise limit")]),
     # The counts of -i and -1 swapped.
     "multiplicities swapped": (
         fourier, "expected_multiplicities",
@@ -175,6 +177,48 @@ SOURCE_FAULTS = {
 def test_source_fault_fails_its_lines(monkeypatch, module, function, edits, lines):
     monkeypatch.setattr(module, function, _mutant(getattr(module, function), edits))
     assert [check.name for check in suite.run_suite(1, (0.3,)).failures()] == lines
+
+
+def _bound_line(report, label="j=1 p=0.3"):
+    (check,) = [c for c in report.checks if c.name == f"{label} oracle eigenvector bound"]
+    return check
+
+
+def test_a_column_mixed_into_its_neighbour_fails_the_bound(monkeypatch):
+    # Columns 1 and 2 of U at the sweep point turned by 1e-6 in their plane:
+    # U stays orthogonal, and the bound must see the angle.
+    theta = 1e-6
+    analytic_U = suite.analytic_U
+
+    def mixed(params):
+        u = analytic_U(params).copy()
+        if params.j != 1:
+            return u
+        a, b = u[:, 1].copy(), u[:, 2].copy()
+        u[:, 1] = np.cos(theta) * a + np.sin(theta) * b
+        u[:, 2] = np.cos(theta) * b - np.sin(theta) * a
+        return u
+
+    monkeypatch.setattr(suite, "analytic_U", mixed)
+    check = _bound_line(suite.run_suite(1, (0.3,)))
+    # The spectrum is -1, 0, 1, so each gap is the step to the neighbour the
+    # column was turned into, and the bound is sin(theta) to rounding.
+    assert not check.passed
+    assert check.residual == pytest.approx(np.sin(theta), rel=1e-9)
+
+
+def test_a_perturbed_off_diagonal_fails_the_bound(monkeypatch):
+    # One entry of M_q's band 1e-6 too large: U's columns are no longer its
+    # eigenvectors.
+    position_matrix = suite.position_matrix
+
+    def perturbed(params):
+        off = position_matrix(params).offdiag.copy()
+        off[1] *= 1.0 + 1e-6
+        return oscillator.SymTridiagonal(off)
+
+    monkeypatch.setattr(suite, "position_matrix", perturbed)
+    assert not _bound_line(suite.run_suite(1, (0.3,))).passed
 
 
 def test_non_hermitian_momentum_fails_verify(monkeypatch, capsys):

@@ -1,15 +1,17 @@
 import ast
+import re
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import superosc.oracle as oracle
 from superosc.oracle import (
+    eigenvector_bound,
     hermitian_tridiag_eigen,
     hermitian_tridiag_eigenvalues,
     krawtchouk_exact,
@@ -251,6 +253,57 @@ def test_eigenvalues_only_path_keeps_the_validation(bad):
         hermitian_tridiag_eigenvalues(bad)
     with pytest.raises(ValueError):
         hermitian_tridiag_eigen(bad)
+
+
+def test_bound_reads_the_same_eigenvalues_bit_for_bit():
+    # One QL run without eigenvectors: the verify sweep's position bands and
+    # random bands, some with deflating zero couplings.
+    from superosc import ModelParams, position_matrix
+
+    bands = [(position_matrix(ModelParams(j, p)).offdiag, np.zeros(2 * j + 1))
+             for p in (0.1, 0.3, 0.5, 0.7, 0.9) for j in range(0, 13)]
+    rng = np.random.default_rng(13)
+    for m in (1, 2, 5, 17):
+        e = rng.normal(size=m - 1)
+        e[::3] = 0.0
+        bands.append((e, rng.normal(size=m)))
+    for off, diag in bands:
+        exact = tridiag_eigen(off, diag)
+        bound = eigenvector_bound(off, diag, exact.eigenvectors)
+        assert bound.eigenvalues.tobytes() == exact.eigenvalues.tobytes()
+
+
+@given(dim=st.integers(min_value=2, max_value=10), data=st.data())
+@settings(deadline=None, max_examples=60)
+def test_bound_covers_a_known_angle(dim, data):
+    # Symmetric tridiagonals with unreduced bands and well-separated spectra;
+    # the oracle's eigenvector c turned by theta toward eigenvector c+1 makes
+    # an angle theta with the true one, to the oracle's rounding.
+    diag = [data.draw(st.floats(min_value=-2.0, max_value=2.0)) for _ in range(dim)]
+    off = [data.draw(st.floats(min_value=0.2, max_value=2.0)) for _ in range(dim - 1)]
+    exact = tridiag_eigen(off, diag)
+    assume(np.diff(exact.eigenvalues).min() >= 0.05)
+    c = data.draw(st.integers(min_value=0, max_value=dim - 2))
+    theta = data.draw(st.floats(min_value=1e-8, max_value=np.pi / 2))
+    vectors = exact.eigenvectors.copy()
+    vectors[:, c] = np.cos(theta) * vectors[:, c] + np.sin(theta) * vectors[:, c + 1]
+    bounds = eigenvector_bound(off, diag, vectors).bounds
+    assert bounds[c] >= np.sin(theta) - 1e-12
+    assert np.delete(bounds, c).max() <= 1e-12
+
+
+def test_bound_edge_cases():
+    # One row: any nonzero column is the eigenvector, and there is no gap.
+    one = eigenvector_bound([], [2.0], [[-3.0]])
+    assert one.gaps.tolist() == [np.inf] and one.bounds.tolist() == [0.0]
+    # A repeated eigenvalue (the band splits) bounds nothing; a NaN is kept.
+    twice = eigenvector_bound([0.0], [1.0, 1.0], np.eye(2))
+    assert twice.gaps.tolist() == [0.0, 0.0] and twice.bounds.tolist() == [np.inf, np.inf]
+    vectors = np.eye(3)
+    vectors[0, 1] = np.nan
+    assert np.isnan(eigenvector_bound([0.0, 0.0], [0.0, 1.0, 2.0], vectors).bounds[1])
+    with pytest.raises(ValueError, match=re.escape("need 3 x 3 vectors, got shape (3, 2)")):
+        eigenvector_bound([1.0, 1.0], [0.0, 0.0, 0.0], np.ones((3, 2)))
 
 
 def test_exact_krawtchouk_values():

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from superosc import fourier, oscillator, specfun, suite, wavefunctions
+from superosc import fourier, oracle, oscillator, specfun, suite, wavefunctions
 from superosc.report import VerificationReport
 
 
@@ -56,7 +56,7 @@ def test_p_to_one_convergence_check_catches_a_wrong_limit(monkeypatch, wrong, fa
 # run_suite(2, (0.5,)): a check added, dropped, renamed, moved or given a
 # new tolerance changes these; update them together with the suite.
 PINNED_CHECK_COUNT = 112
-PINNED_CHECK_SHA256 = "a78398cf86488de90d75680173b74fefa71da595851467b1e7f5a362b0f4da2f"
+PINNED_CHECK_SHA256 = "d35e9019a5a132bca1a7e6180d7705226cac0beb1747fa461e125383dd6eebaa"
 
 
 def test_verify_check_list_is_pinned():
@@ -69,14 +69,25 @@ def test_verify_check_list_is_pinned():
     assert hashlib.sha256(listing.encode()).hexdigest() == PINNED_CHECK_SHA256
 
 
+def test_verify_accumulates_no_oracle_eigenvectors(monkeypatch):
+    # The oracle's eigenvectors are bounded from its eigenvalues, never
+    # multiplied out: verify passes with the rotation product refused.
+    def refuse(rotations, alternating):
+        raise AssertionError("verify accumulated the oracle's eigenvectors")
+
+    monkeypatch.setattr(oracle, "_sweep_product", refuse)
+    assert suite.run_suite(3, (0.3, 0.7)).passed
+
+
 def test_no_line_kind_copies_another():
-    # Each sweep line kind's residuals over the default sweep points. Two
-    # kinds that agree bit for bit at every point compute the same numbers,
-    # so one of them checks nothing the other does not. Kinds that read 0.0
-    # everywhere are exact identities, which agree with each other.
+    # Each line kind's residuals over the default run: the sweep lines by
+    # their (j, p) point, the fixed lines by their j. Two kinds that agree
+    # bit for bit at every point compute the same numbers, so one of them
+    # checks nothing the other does not. Kinds that read 0.0 everywhere are
+    # exact identities, which agree with each other.
     kinds = {}
     for check in suite.run_suite().checks:
-        match = re.fullmatch(r"(j=\d+ p=\S+) (.*)", check.name)
+        match = re.fullmatch(r"(j=\d+(?: p=\S+)?) (.*)", check.name)
         if match:
             kinds.setdefault(match[2], {})[match[1]] = check.residual
     copies = {}
