@@ -52,10 +52,11 @@ def _estimated_peak(args: argparse.Namespace) -> int:
     # 410 B at j = 20000 and 408 B at j = 200000. fourier's is 10% over its
     # largest peak, both routes and formats at j = 150, 300 and 600
     # (113.4 B, JSON at j = 150). Verify's is 10% over the largest peak of
-    # one sweep point, cold and warm caches at j = 100, 150 and 200
-    # (143.3 B, cold at j = 100); it adds 6 MiB for its fixed checks and
-    # the two Krawtchouk table caches, up to 2 x 64 tables of (j+1)^2
-    # floats kept from the sweep points before it.
+    # one sweep point at p = 0.3, cold and warm caches at j = 100, 150 and
+    # 200 (116.5 B, cold at j = 100; the oracle forms no eigenvector
+    # matrix), rounded to 128 B. It adds 6 MiB for its fixed checks and the
+    # two Krawtchouk table caches, up to 2 x 64 tables of (j+1)^2 floats
+    # kept from the sweep points before it.
     j = max(args.j_max if args.command == "verify" else args.j, 0)
     dim, table = 2 * j + 1, (j + 1) ** 2  # grid size, polynomial-table entries
     if args.command == "spectrum":
@@ -67,7 +68,7 @@ def _estimated_peak(args: argparse.Namespace) -> int:
     elif args.command == "fourier":
         nbytes = 128 * dim**2
     else:
-        nbytes = 6 * 2**20 + 158 * dim**2 + 1024 * table
+        nbytes = 6 * 2**20 + 128 * dim**2 + 1024 * table
     return 2**20 + nbytes
 
 

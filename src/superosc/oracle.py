@@ -14,6 +14,11 @@ from l to the nearest other oracle eigenvalue (Davis & Kahan, SIAM J.
 Numer. Anal. 7 (1970); Parlett, *The Symmetric Eigenvalue Problem*,
 ch. 11). It needs a simple spectrum, with the oracle's eigenvalue error far
 below delta. The bound sees angles only, so it is blind to a column's sign.
+
+:func:`tridiag_eigen` and :func:`hermitian_tridiag_eigen` also return the
+eigenvectors: each QL rotation is applied, as it is made, to two rows of the
+transposed eigenvector matrix. ``verify`` reads the eigenvalues alone; the
+eigenvectors are a reference for the tests.
 """
 
 from __future__ import annotations
@@ -30,7 +35,6 @@ __all__ = [
     "tridiag_eigen",
     "eigenvector_bound",
     "hermitian_tridiag_eigen",
-    "hermitian_tridiag_eigenvalues",
     "krawtchouk_exact",
 ]
 
@@ -64,42 +68,14 @@ class EigenvectorBound:
     bounds: np.ndarray
 
 
-def _sweep_product(rotations: list, alternating: np.ndarray) -> np.ndarray:
-    """Product of one QL sweep's plane rotations, as one block Q.
-
-    Rotation i (local index, 0 <= i < n) maps columns (z_i, z_{i+1}) of the
-    eigenvector block to (c_i z_i - s_i z_{i+1}, s_i z_i + c_i z_{i+1}). The
-    sweep applies rotation n-1 first, so ``rotations`` holds
-    c_{n-1}, s_{n-1}, ..., c_0, s_0 in that order. The sweep's effect is
-    z <- z Q with Q lower Hessenberg:
-    ``Q[i, k] = c_i c_{k-1} prod_{t=k}^{i-1} (-s_t)`` for k <= i, taking
-    c_{-1} = c_n = 1, and ``Q[i, i+1] = s_i``. ``alternating`` is at least
-    (n+1)-square and holds (-1)^(i-k) on and below the diagonal, 0 above.
-    """
-    pairs = np.array(rotations)[::-1]
-    s = pairs[0::2]
-    c = pairs[1::2]
-    n = len(s)
-    q = np.empty((n + 1, n + 1))
-    q[0] = 1.0
-    # q[i, k] = s_k ... s_{i-1} below the diagonal, then the signs (-1)^(i-k)
-    # and the zeros above it
-    factors = np.where(alternating[:n, :n + 1] != 0.0, s[:, None], 1.0)
-    np.cumprod(factors, axis=0, out=q[1:])
-    q *= alternating[:n + 1, :n + 1]
-    q[:n] *= c[:, None]
-    q[:, 1:] *= c
-    q.reshape(-1)[1::n + 2] = s
-    return q
-
-
 def _ql(offdiag, diag, vectors: bool) -> tuple[np.ndarray, np.ndarray | None, int]:
     """Implicit-shift QL on a symmetric tridiagonal matrix.
 
     Returns the eigenvalues ascending (stable sort), the matching
-    eigenvector columns (None unless ``vectors``) and the sweep count. The
-    sweep's rotations are multiplied into the eigenvectors only when they
-    are wanted; the eigenvalues do not depend on it, bit for bit.
+    eigenvector columns (None unless ``vectors``) and the sweep count. Each
+    rotation turns two rows of the transposed eigenvector matrix as it is
+    made, only when the eigenvectors are wanted; the eigenvalues do not
+    depend on it, bit for bit.
     """
     d = [float(v) for v in diag]
     m = len(d)
@@ -122,9 +98,7 @@ def _ql(offdiag, diag, vectors: bool) -> tuple[np.ndarray, np.ndarray | None, in
         norm = ldexp(norm, -exponent)
     floor = _UNDERFLOW * norm
     if vectors:
-        z = np.eye(m)
-        k = np.arange(m)
-        alternating = np.tril((-1.0) ** np.subtract.outer(k, k))
+        z = np.eye(m)  # transposed: eigenvector k is row k until the end
     iterations = 0
     for low in range(m):
         sweeps = 0
@@ -147,7 +121,6 @@ def _ql(offdiag, diag, vectors: bool) -> tuple[np.ndarray, np.ndarray | None, in
             g = d[split] - shift + e[low] / (g + copysign(r, g))
             s = c = 1.0
             shift = 0.0
-            rotations = []
             first = low
             for i in range(split - 1, low - 1, -1):
                 f = s * e[i]
@@ -174,11 +147,8 @@ def _ql(offdiag, diag, vectors: bool) -> tuple[np.ndarray, np.ndarray | None, in
                 shift = s * r
                 d[i + 1] = g + shift
                 g = c * r - b
-                rotations.append(c)
-                rotations.append(s)
-            if vectors:
-                block = z[:, first:split + 1]
-                block[...] = block @ _sweep_product(rotations, alternating)
+                if vectors:
+                    z[i:i + 2] = np.array([[c, -s], [s, c]]) @ z[i:i + 2]
             if first > low:
                 d[first] -= shift
                 e[first] = 0.0
@@ -189,16 +159,15 @@ def _ql(offdiag, diag, vectors: bool) -> tuple[np.ndarray, np.ndarray | None, in
             e[split] = 0.0
     values = np.ldexp(np.array(d), exponent)
     order = np.argsort(values, kind="stable")
-    return values[order], z[:, order] if vectors else None, iterations
+    return values[order], z.T[:, order] if vectors else None, iterations
 
 
 def tridiag_eigen(offdiag, diag, tol: float = 1e-9) -> EigenResult:
     """Diagonalize a symmetric tridiagonal matrix by implicit-shift QL.
 
-    Plane rotations with Wilkinson shifts; each sweep's rotations are
-    multiplied into the eigenvector matrix as one block product. A sweep
-    whose rotation inputs both underflow to zero stops there, as the
-    matrix has split. Deterministic for fixed input. Eigenvalues are
+    Plane rotations with Wilkinson shifts; each rotation is applied to the
+    eigenvectors as it is made. A sweep whose rotation inputs both
+    underflow to zero stops there, as the matrix has split. Deterministic for fixed input. Eigenvalues are
     returned in ascending order (stable sort) with eigenvector signs left
     as the iteration produces them, for the caller to align.
 
@@ -272,9 +241,15 @@ def eigenvector_bound(offdiag, diag, vectors) -> EigenvectorBound:
     return EigenvectorBound(values, residuals, gaps, bounds)
 
 
-def _real_band(matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # The complex matrix, its superdiagonal and its real diagonal, after
-    # checking that it is square, tridiagonal and Hermitian.
+def hermitian_tridiag_eigen(matrix, tol: float = 1e-9) -> EigenResult:
+    """Diagonalize a Hermitian tridiagonal matrix via phase reduction.
+
+    A diagonal unitary turns the matrix into a real symmetric tridiagonal
+    one with the same spectrum (|off-diagonals|, real diagonal); the real
+    problem goes through :func:`tridiag_eigen` and the eigenvectors are
+    re-phased. The reported residual is measured against the original
+    complex matrix; a residual above ``tol``, or NaN, raises RuntimeError.
+    """
     mat = np.asarray(matrix, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"need a square matrix, got shape {mat.shape}")
@@ -286,20 +261,6 @@ def _real_band(matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise ValueError("matrix is not Hermitian")
     upper = np.array([mat[i, i + 1] for i in range(m - 1)])
     diag = np.array([mat[i, i].real for i in range(m)])
-    return mat, upper, diag
-
-
-def hermitian_tridiag_eigen(matrix, tol: float = 1e-9) -> EigenResult:
-    """Diagonalize a Hermitian tridiagonal matrix via phase reduction.
-
-    A diagonal unitary turns the matrix into a real symmetric tridiagonal
-    one with the same spectrum (|off-diagonals|, real diagonal); the real
-    problem goes through :func:`tridiag_eigen` and the eigenvectors are
-    re-phased. The reported residual is measured against the original
-    complex matrix; a residual above ``tol``, or NaN, raises RuntimeError.
-    """
-    mat, upper, diag = _real_band(matrix)
-    m = mat.shape[0]
     phases = np.ones(m, dtype=complex)
     for i in range(m - 1):
         entry = upper[i]
@@ -310,18 +271,6 @@ def hermitian_tridiag_eigen(matrix, tol: float = 1e-9) -> EigenResult:
     if not residual <= tol:
         raise RuntimeError(f"re-phased residual {residual:.3e} exceeds tol {tol:.1e}")
     return EigenResult(base.eigenvalues, vectors, base.iterations, residual)
-
-
-def hermitian_tridiag_eigenvalues(matrix) -> np.ndarray:
-    """Eigenvalues alone of a Hermitian tridiagonal matrix, ascending.
-
-    The same validation and the same QL sweeps as
-    :func:`hermitian_tridiag_eigen`, whose eigenvalues these equal bit for
-    bit, without accumulating the eigenvectors. With no vectors there is no
-    residual to verify: the caller compares the values with a reference.
-    """
-    _, upper, diag = _real_band(matrix)
-    return _ql(np.abs(upper), diag, vectors=False)[0]
 
 
 def krawtchouk_exact(n: int, x: int, p_num: int, p_den: int, N: int) -> Fraction:

@@ -26,7 +26,7 @@ from superosc import (
     fourier_analytic,
     fourier_spectral,
     hamiltonian_matrix,
-    hermitian_tridiag_eigenvalues,
+    hermitian_tridiag_eigen,
     limit_U,
     momentum_matrix,
     node_count,
@@ -67,7 +67,7 @@ def test_criterion_1_oracle_spectra_match_sqrt_grid():
             params = ModelParams(j=j, p=p)
             oracle_q = tridiag_eigen(position_matrix(params).offdiag, np.zeros(dim))
             worst = _worst(worst, _spectrum_residual(oracle_q.eigenvalues, j))
-            oracle_p = hermitian_tridiag_eigenvalues(momentum_matrix(params))
+            oracle_p = hermitian_tridiag_eigen(momentum_matrix(params)).eigenvalues
             worst = _worst(worst, _spectrum_residual(oracle_p, j))
     elapsed = time.perf_counter() - t0
     print(f"criterion 1: eigenvalue residual {worst:.3e} (tol 1e-9), {elapsed:.2f}s")

@@ -15,10 +15,11 @@ import superosc
 _MODULES = ("superosc", *(f"superosc.{name}" for name in (
     "fourier", "oracle", "oscillator", "report", "representation", "specfun", "suite",
     "wavefunctions")))
-# Removed from the public API: the float 2F1 series and the single-value
-# helpers that no output read.
+# Removed from the public API: the float 2F1 series, the single-value
+# helpers that no output read, and the oracle's eigenvalue-only Hermitian twin.
 _REMOVED = ("hyp2f1_terminating", "krawtchouk", "krawtchouk_weight", "krawtchouk_norm",
-            "dual_hahn", "laguerre", "S_sum", "dual_hahn_normalized")
+            "dual_hahn", "laguerre", "S_sum", "dual_hahn_normalized",
+            "hermitian_tridiag_eigenvalues")
 
 
 @pytest.mark.parametrize("module", _MODULES)
@@ -152,7 +153,7 @@ def test_apply_fourier_moved_beside_the_layout_it_reads():
 
 
 def test_removed_names_are_gone():
-    for mod in (superosc, superosc.specfun, superosc.fourier):
+    for mod in (superosc, superosc.specfun, superosc.fourier, superosc.oracle):
         for name in _REMOVED:
             assert name not in mod.__all__
             assert not hasattr(mod, name), f"{mod.__name__}.{name}"

@@ -306,7 +306,7 @@ def test_domain_errors_exit_3(capsys):
 # Each command at the first j whose estimated peak is over the limit.
 _FIRST_REFUSED = [
     ("fourier", "--j", "2047", "--p", "0.3"),
-    ("verify", "--j-max", "1137"),
+    ("verify", "--j-max", "1180"),
     ("limits", "--j", "3726449", "--p", "0.3", "--alpha", "10"),
     ("wavefunction", "--j", "8185", "--p", "0.3"),
     ("spectrum", "--j", "8384512"),

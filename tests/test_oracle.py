@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import re
 from fractions import Fraction
 from functools import cache
@@ -13,7 +14,6 @@ import superosc.oracle as oracle
 from superosc.oracle import (
     eigenvector_bound,
     hermitian_tridiag_eigen,
-    hermitian_tridiag_eigenvalues,
     krawtchouk_exact,
     tridiag_eigen,
 )
@@ -70,14 +70,14 @@ def test_result_carries_residual_and_iterations():
 # A NaN compares false with tol, so a guard written `residual > tol` lets a
 # NaN residual through; each guard must raise on one.
 def test_nan_residual_raises(monkeypatch):
-    product = oracle._sweep_product
+    solve = oracle._ql
 
-    def one_nan(rotations, alternating):
-        block = product(rotations, alternating).copy()
-        block[0, 0] = np.nan
-        return block
+    def one_nan(offdiag, diag, vectors):
+        values, z, iterations = solve(offdiag, diag, vectors)
+        z[0, 0] = np.nan
+        return values, z, iterations
 
-    monkeypatch.setattr(oracle, "_sweep_product", one_nan)
+    monkeypatch.setattr(oracle, "_ql", one_nan)
     with pytest.raises(RuntimeError):
         tridiag_eigen([1.0, 2.0, 0.5], [0.0, 0.3, 0.1, 0.0])
 
@@ -95,36 +95,6 @@ def test_nan_rephased_residual_raises(monkeypatch):
     off = np.array([1.0, 2.0j, 0.5])
     with pytest.raises(RuntimeError):
         hermitian_tridiag_eigen(np.diag(off, 1) + np.diag(off.conj(), -1))
-
-
-def _rotations_one_at_a_time(cosines, sines):
-    # the per-rotation column update that the block product replaces
-    q = np.eye(len(cosines) + 1)
-    for i in range(len(cosines) - 1, -1, -1):
-        c, s = cosines[i], sines[i]
-        col = q[:, i + 1].copy()
-        q[:, i + 1] = s * q[:, i] + c * col
-        q[:, i] = c * q[:, i] - s * col
-    return q
-
-
-@pytest.mark.parametrize("n", [1, 2, 5, 30])
-def test_sweep_product_matches_rotations_one_at_a_time(n):
-    rng = np.random.default_rng(n)
-    angles = rng.uniform(-np.pi, np.pi, n)
-    angles[n // 2] = 0.0          # s = 0 splits the product
-    if n > 2:
-        angles[-1] = np.pi / 2    # c = 0
-    cosines, sines = np.cos(angles), np.sin(angles)
-    rotations = []
-    for c, s in zip(cosines[::-1], sines[::-1]):
-        rotations += [c, s]
-    k = np.arange(n + 3)
-    alternating = np.tril((-1.0) ** np.subtract.outer(k, k))
-    block = oracle._sweep_product(rotations, alternating)
-    # entries agree to a few roundings each: n factors of size <= 1
-    assert np.abs(block - _rotations_one_at_a_time(cosines, sines)).max() <= 4 * n * 2.0**-52
-    assert np.abs(block.T @ block - np.eye(n + 1)).max() <= 4 * n * 2.0**-52
 
 
 @pytest.mark.parametrize(
@@ -216,48 +186,19 @@ def test_hermitian_solver_agrees_with_reference():
 
 
 def test_hermitian_solver_validation():
-    with pytest.raises(ValueError):
-        hermitian_tridiag_eigen(np.ones((2, 3)))
-    full = np.ones((4, 4), dtype=complex)
-    with pytest.raises(ValueError):
-        hermitian_tridiag_eigen(full)  # not tridiagonal
+    for bad, message in (
+        (np.ones((2, 3)), "need a square matrix"),
+        (np.ones((4, 4), dtype=complex), "outside the tridiagonal band"),
+        (np.diag([1j, 2.0]) + np.diag([1.0], 1) + np.diag([1.0], -1), "not Hermitian"),
+        (np.diag([0.0, 0.0]) + np.diag([1j], 1) + np.diag([1j], -1), "not Hermitian"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            hermitian_tridiag_eigen(bad)
 
 
-def test_eigenvalues_only_path_is_bit_identical():
-    # Skipping the rotation products leaves the sweeps, and so the values,
-    # unchanged: the verify sweep's momentum matrices and random Hermitian
-    # bands, some with deflating zero couplings.
-    from superosc import ModelParams, momentum_matrix
-
-    matrices = [momentum_matrix(ModelParams(j, p))
-                for p in (0.1, 0.3, 0.5, 0.7, 0.9) for j in range(0, 13)]
-    rng = np.random.default_rng(11)
-    for m in (1, 2, 5, 17):
-        e = rng.normal(size=m - 1) + 1j * rng.normal(size=m - 1)
-        e[::3] = 0.0
-        matrices.append(np.diag(rng.normal(size=m)).astype(complex)
-                        + np.diag(e, 1) + np.diag(e.conj(), -1))
-    for mat in matrices:
-        values = hermitian_tridiag_eigenvalues(mat)
-        assert values.tobytes() == hermitian_tridiag_eigen(mat).eigenvalues.tobytes()
-
-
-@pytest.mark.parametrize("bad", [
-    np.ones((2, 3)),
-    np.ones((4, 4), dtype=complex),               # outside the band
-    np.diag([1j, 2.0]) + np.diag([1.0], 1) + np.diag([1.0], -1),  # complex diagonal
-    np.diag([0.0, 0.0]) + np.diag([1j], 1) + np.diag([1j], -1),   # not Hermitian
-])
-def test_eigenvalues_only_path_keeps_the_validation(bad):
-    with pytest.raises(ValueError):
-        hermitian_tridiag_eigenvalues(bad)
-    with pytest.raises(ValueError):
-        hermitian_tridiag_eigen(bad)
-
-
-def test_bound_reads_the_same_eigenvalues_bit_for_bit():
-    # One QL run without eigenvectors: the verify sweep's position bands and
-    # random bands, some with deflating zero couplings.
+def _verify_bands():
+    # The verify sweep's position bands and random bands, some with deflating
+    # zero couplings.
     from superosc import ModelParams, position_matrix
 
     bands = [(position_matrix(ModelParams(j, p)).offdiag, np.zeros(2 * j + 1))
@@ -267,7 +208,23 @@ def test_bound_reads_the_same_eigenvalues_bit_for_bit():
         e = rng.normal(size=m - 1)
         e[::3] = 0.0
         bands.append((e, rng.normal(size=m)))
-    for off, diag in bands:
+    return bands
+
+
+def test_eigenvalues_and_iterations_are_pinned():
+    # QL is pure Python, so the digest does not depend on the BLAS threads.
+    digest = hashlib.sha256()
+    for off, diag in _verify_bands():
+        res = tridiag_eigen(off, diag)
+        digest.update(res.eigenvalues.tobytes())
+        digest.update(res.iterations.to_bytes(8, "little"))
+    assert digest.hexdigest() == (
+        "0253ea09d4d0f337efd6dca2691fdd8cbec6ce2884440c49f021bb197b67ed8f")
+
+
+def test_bound_reads_the_same_eigenvalues_bit_for_bit():
+    # One QL run without eigenvectors gives the values of the run with them.
+    for off, diag in _verify_bands():
         exact = tridiag_eigen(off, diag)
         bound = eigenvector_bound(off, diag, exact.eigenvectors)
         assert bound.eigenvalues.tobytes() == exact.eigenvalues.tobytes()

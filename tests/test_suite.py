@@ -71,11 +71,15 @@ def test_verify_check_list_is_pinned():
 
 def test_verify_accumulates_no_oracle_eigenvectors(monkeypatch):
     # The oracle's eigenvectors are bounded from its eigenvalues, never
-    # multiplied out: verify passes with the rotation product refused.
-    def refuse(rotations, alternating):
-        raise AssertionError("verify accumulated the oracle's eigenvectors")
+    # computed: verify passes with the QL eigenvector path refused.
+    solve = oracle._ql
 
-    monkeypatch.setattr(oracle, "_sweep_product", refuse)
+    def refuse(offdiag, diag, vectors):
+        if vectors:
+            raise AssertionError("verify accumulated the oracle's eigenvectors")
+        return solve(offdiag, diag, vectors)
+
+    monkeypatch.setattr(oracle, "_ql", refuse)
     assert suite.run_suite(3, (0.3, 0.7)).passed
 
 
